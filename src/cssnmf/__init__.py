@@ -20,6 +20,7 @@ from .model import (
     normalize,
     objective,
     predict,
+    predict_many,
     save_model,
     update_h,
     update_theta,
@@ -57,6 +58,7 @@ __all__ = [
     "normalize",
     "objective",
     "predict",
+    "predict_many",
     "save_model",
     "update_h",
     "update_theta",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .io import format_float, load_matrix_csv, load_vector_csv, save_matrix_csv, save_vector_csv
 from .linalg import ConvergenceError
-from .model import FitConfig, NumericFailure, fit as fit_model, load_model, predict, save_model
+from .model import FitConfig, NumericFailure, fit as fit_model, load_model, predict_many, save_model
 from .sweep import SweepSpec, figure_filter as apply_figure_filter, lambda_grid, run_sweep, write_sweep_csv
 from .synthetic import SyntheticConfig, generate, save_dataset
 from .text import (
@@ -79,17 +79,13 @@ def _parse_int_list(text, what):
 @click.group()
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Base seed for every randomized step.")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads for sweep cells.")
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path),
               default=Path("."), show_default=True,
               help="Directory where artifacts are written.")
 @click.pass_context
-def main(ctx, seed, threads, out):
+def main(ctx, seed, out):
     """Topic factorization with a rating regression, end to end."""
-    if threads < 1:
-        raise click.UsageError("--threads must be >= 1")
-    ctx.obj = {"seed": seed, "threads": threads, "out": out}
+    ctx.obj = {"seed": seed, "out": out}
 
 
 @main.command()
@@ -251,7 +247,7 @@ def sweep(obj, x_path, y_path, r_list, lambdas, restarts, train_frac,
         tau=tau,
         max_iter=max_iter,
     )
-    cells = run_sweep(X, Y, spec, threads=obj["threads"])
+    cells = run_sweep(X, Y, spec)
     out = _outdir(obj)
     write_sweep_csv(out / "sweep.csv", cells)
     for c in cells:
@@ -323,10 +319,8 @@ def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
         )
     r = model.H.shape[0]
     out = _outdir(obj)
-    rows = []
-    for doc_id, x in zip(ids, X):
-        y_hat, w = predict(model.H, model.theta, x)
-        rows.append((doc_id, y_hat, w))
+    y_hats, W = predict_many(model.H, model.theta, X)
+    rows = list(zip(ids, y_hats, W))
     with open(out / "predictions.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "y_hat"] + [f"w_{k}" for k in range(1, r + 1)])

@@ -1,16 +1,22 @@
 """Dense linear algebra kernels shared by every update step.
 
-All matrices are row-major ``float64`` numpy arrays.  The two solvers here
-are deliberately small and deterministic:
+All matrices are row-major ``float64`` numpy arrays.  The solvers here are
+deliberately small and deterministic:
 
-* :func:`nnls` -- Lawson--Hanson active-set nonnegative least squares.
+* :func:`nnls_multi` -- batched Lawson--Hanson active-set nonnegative least
+  squares on precomputed cross products, one column per problem.  It is
+  the only NNLS code path: the factor updates, prediction and :func:`nnls`
+  all call it.
+* :func:`nnls` -- the one-problem case of :func:`nnls_multi`.
 * :func:`lstsq` -- SVD-backed least squares that degrades to the
   pseudo-inverse (minimum-norm solution) on rank-deficient systems.
 """
 
+import itertools
+
 import numpy as np
 
-__all__ = ["ConvergenceError", "nnls", "lstsq", "frob_sq"]
+__all__ = ["ConvergenceError", "nnls", "nnls_multi", "lstsq", "frob_sq"]
 
 # Singular values below SVD_CUTOFF * s_max are treated as zero.
 SVD_CUTOFF = 1e-12
@@ -81,77 +87,151 @@ def lstsq(A, b):
     return x
 
 
-def _solve_passive(AtA, Atb, passive):
-    """Unconstrained minimizer restricted to the passive index set."""
-    idx = np.flatnonzero(passive)
-    M = AtA[np.ix_(idx, idx)]
-    v = Atb[idx]
+def _solve_one(M, v):
+    """Unconstrained minimizer of one passive-set subsystem ``M z = v``."""
     try:
-        z = np.linalg.solve(M, v)
+        return np.linalg.solve(M, v)
     except np.linalg.LinAlgError:
         z, _, _, _ = np.linalg.lstsq(M, v, rcond=None)
-    return idx, z
+        return z
 
 
-def _nnls_normal(AtA, Atb, max_iter, warm_passive=None):
-    """Lawson--Hanson on precomputed cross products ``AtA = A'A``, ``Atb = A'b``.
+def _solve_passive(AtA, B, passive, cols):
+    """Solve the passive-set subsystems of columns ``cols``, grouped by size.
 
-    ``warm_passive`` optionally seeds the passive set from a previous solve;
-    it is discarded if its restricted solution is not strictly feasible.
+    Yields ``(cols_s, idx, Z)`` per passive-set size ``s``: the columns of the
+    group, their passive indices (cnt, s) in increasing order, and the
+    solutions (cnt, s).  Each group is one stacked ``solve`` with a single
+    right-hand side per system, so every column gets the same rounding as a
+    solve of its own subsystem; a group holding a singular system falls back
+    to solving its members one by one.
     """
-    q = Atb.shape[0]
-    x = np.zeros(q)
-    passive = np.zeros(q, dtype=bool)
-    tol = DUAL_TOL * (1.0 + float(np.max(np.abs(Atb), initial=0.0)))
+    sizes = passive[cols].sum(axis=1)
+    counts = np.bincount(sizes)
+    for s in counts.nonzero()[0]:
+        group = cols if counts[s] == cols.size else cols[sizes == s]
+        idx = passive[group].nonzero()[1].reshape(group.size, s)
+        M = AtA[idx[:, :, None], idx[:, None, :]]
+        v = B[group[:, None], idx]
+        try:
+            Z = np.linalg.solve(M, v[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            Z = np.array([_solve_one(Mi, vi) for Mi, vi in zip(M, v)])
+        yield group, idx, Z
 
-    if warm_passive is not None and warm_passive.any():
-        idx, z = _solve_passive(AtA, Atb, warm_passive)
-        if np.all(np.isfinite(z)) and np.all(z > 0.0):
-            x[idx] = z
-            passive = warm_passive.copy()
 
-    outer = 0
-    while True:
-        w = Atb - AtA @ x
-        active = ~passive
-        if not active.any() or np.max(w[active]) <= tol:
-            return x
-        outer += 1
+def nnls_multi(AtA, AtB, max_iter=None, warm_passive=None):
+    """Lawson--Hanson on every column of ``AtB`` at once.
+
+    Solves ``min_x ||A x - b_j||**2`` subject to ``x >= 0`` for each column
+    ``AtB[:, j] = A'b_j``, given only the cross products ``AtA = A'A`` and
+    ``AtB``.  Columns advance together, but each takes exactly the pivot
+    sequence of a solve on its own: the most violated dual coordinate
+    enters, infeasible steps stop at the first passive coordinate that hits
+    zero, and a column is finished once its largest active dual entry is
+    ``<= DUAL_TOL * (1 + max|A'b_j|)``.  The passive-set subsystems are
+    solved in batches of equal size (the combinatorial grouping of FC-NNLS,
+    Van Benthem & Keenan, J. Chemometrics 2004).
+
+    Parameters
+    ----------
+    AtA : (q, q) ndarray
+    AtB : (q, k) ndarray
+    max_iter : int, optional
+        Cap on each column's outer (entering) iterations.  Default ``3 * q``.
+    warm_passive : (q, k) bool ndarray, optional
+        Passive sets from a previous solve.  A column's warm set is kept only
+        if its restricted solution is finite and strictly positive.
+
+    Returns
+    -------
+    X : (q, k) ndarray, elementwise nonnegative
+
+    Raises
+    ------
+    ValueError
+        On incompatible shapes.
+    ConvergenceError
+        If any column exceeds the cap; ``column`` names the lowest such
+        column and ``best`` holds its iterate when it stopped.
+    """
+    AtA = np.asarray(AtA, dtype=float)
+    AtB = np.asarray(AtB, dtype=float)
+    q = AtA.shape[0]
+    if AtA.shape != (q, q) or AtB.ndim != 2 or AtB.shape[0] != q:
+        raise ValueError(f"incompatible shapes: AtA is {AtA.shape}, AtB is {AtB.shape}")
+    if max_iter is None:
+        max_iter = 3 * q
+    k = AtB.shape[1]
+    # Column j's problem lives in row j: B[j] = A'b_j, X[j] = x_j.
+    B = np.ascontiguousarray(AtB.T)
+    X = np.zeros((k, q))
+    passive = np.zeros((k, q), dtype=bool)
+    tol = DUAL_TOL * (1.0 + np.max(np.abs(B), axis=1, initial=0.0))
+
+    if warm_passive is not None:
+        warm = np.ascontiguousarray(np.asarray(warm_passive, dtype=bool).T)
+        if warm.shape != (k, q):
+            raise ValueError(f"warm_passive is {warm.T.shape}, expected {AtB.shape}")
+        for cols, idx, Z in _solve_passive(AtA, B, warm, np.flatnonzero(warm.any(axis=1))):
+            ok = np.isfinite(Z).all(axis=1) & (Z > 0.0).all(axis=1)
+            X[cols[ok, None], idx[ok]] = Z[ok]
+            passive[cols[ok]] = warm[cols[ok]]
+
+    # Every column still running has made the same number of outer steps,
+    # so one round counter serves as each column's own iteration count.
+    live = np.arange(k)
+    for outer in itertools.count(1):
+        # One matrix-vector product per column, as a solve on its own makes;
+        # a matrix-matrix product would round differently.
+        w = B[live] - np.matmul(AtA, X[live][:, :, None])[:, :, 0]
+        P = passive[live]
+        cand = np.where(P, -np.inf, w)
+        running = ~((cand.max(axis=1) <= tol[live]) | P.all(axis=1))
+        live, cand = live[running], cand[running]
+        if not live.size:
+            break
         if outer > max_iter:
+            j = int(live[0])
             raise ConvergenceError(
-                f"active-set iteration cap {max_iter} exceeded", best=x
+                f"active-set iteration cap {max_iter} exceeded in column {j}",
+                best=X[j].copy(), column=j,
             )
         # Most violated dual coordinate enters the passive set.
-        cand = np.where(active, w, -np.inf)
-        passive[int(np.argmax(cand))] = True
+        passive[live, cand.argmax(axis=1)] = True
 
-        while True:
-            idx, z = _solve_passive(AtA, Atb, passive)
-            if np.all(z > 0.0):
-                x.fill(0.0)
-                x[idx] = z
-                break
-            # Step toward z until the first passive coordinate hits zero.
-            xp = x[idx]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(z <= 0.0, xp / (xp - z), np.inf)
-            ratio = np.where(np.isnan(ratio), 0.0, ratio)
-            alpha = float(np.min(ratio))
-            x[idx] = xp + alpha * (z - xp)
-            drop = (ratio <= alpha) & (z <= 0.0)
-            x[idx[drop]] = 0.0
-            passive[idx[drop]] = False
-            x[~passive] = 0.0
-            if not passive.any():
-                break
+        inner = live
+        while inner.size:
+            stepped = []
+            for cols, idx, Z in _solve_passive(AtA, B, passive, inner):
+                # Entries outside the passive set are zero throughout, so a
+                # feasible solution is written over the passive set alone.
+                feasible = (Z > 0.0).all(axis=1)
+                X[cols[feasible, None], idx[feasible]] = Z[feasible]
+                if feasible.all():
+                    continue
+                cols, idx, Z = cols[~feasible], idx[~feasible], Z[~feasible]
+                # Step toward z until the first passive coordinate hits zero.
+                xp = X[cols[:, None], idx]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = np.where(Z <= 0.0, xp / (xp - Z), np.inf)
+                ratio = np.where(np.isnan(ratio), 0.0, ratio)
+                alpha = ratio.min(axis=1, keepdims=True)
+                drop = (ratio <= alpha) & (Z <= 0.0)
+                X[cols[:, None], idx] = np.where(drop, 0.0, xp + alpha * (Z - xp))
+                passive[cols[:, None], idx] = ~drop
+                stepped.append(cols[~drop.all(axis=1)])
+            inner = np.concatenate(stepped) if stepped else live[:0]
+    return np.ascontiguousarray(X.T)
 
 
 def nnls(A, b, max_iter=None):
     """Solve ``min_x ||A x - b||**2`` subject to ``x >= 0``.
 
-    Lawson--Hanson active-set iteration on the normal equations.  The
-    returned solution satisfies the KKT conditions to within ``DUAL_TOL``
-    relative to the scale of ``A'b``.
+    Lawson--Hanson active-set iteration on the normal equations: the
+    one-column case of :func:`nnls_multi`.  The returned solution satisfies
+    the KKT conditions to within ``DUAL_TOL`` relative to the scale of
+    ``A'b``.
 
     Parameters
     ----------
@@ -177,6 +257,4 @@ def nnls(A, b, max_iter=None):
         raise ValueError(
             f"incompatible shapes: A is {A.shape[0]}x{A.shape[1]}, b has length {b.shape[0]}"
         )
-    if max_iter is None:
-        max_iter = 3 * A.shape[1]
-    return _nnls_normal(A.T @ A, A.T @ b, max_iter)
+    return nnls_multi(A.T @ A, (A.T @ b)[:, None], max_iter)[:, 0]

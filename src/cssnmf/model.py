@@ -9,7 +9,10 @@ drive a linear regression on a response vector ``Y``::
 ``theta[0]`` is the intercept; ``theta[1:]`` weighs the topic encodings.
 Minimization alternates exact nonnegative least-squares updates of the rows
 of ``W``, the columns of ``H``, and the regression coefficients, with rows
-of ``H`` rescaled to unit l1 norm after every iteration.
+of ``H`` rescaled to unit l1 norm after every iteration.  Each block of
+nonnegative solves -- all rows of ``W``, all columns of ``H``, all documents
+to encode -- is one call to the batched kernel
+:func:`cssnmf.linalg.nnls_multi`.
 """
 
 import json
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ConvergenceError, _nnls_normal, frob_sq, lstsq
+from .linalg import ConvergenceError, frob_sq, lstsq, nnls_multi
 
 __all__ = [
     "EPS_H",
@@ -32,6 +35,7 @@ __all__ = [
     "normalize",
     "fit",
     "predict",
+    "predict_many",
     "save_model",
     "load_model",
     "Model",
@@ -141,17 +145,13 @@ def update_h(X, W, H):
         raise ValueError(
             f"shape mismatch: X {X.shape}, W {W.shape}, H {H.shape}"
         )
-    AtA = W.T @ W
-    AtB = W.T @ X
-    cap = 3 * r
-    H_new = np.empty_like(H)
-    for j in range(m):
-        try:
-            H_new[:, j] = _nnls_normal(AtA, AtB[:, j], cap, warm_passive=H[:, j] > EPS_H)
-        except ConvergenceError as err:
-            raise ConvergenceError(
-                f"H update did not converge in column {j}", best=err.best, column=j
-            ) from err
+    try:
+        H_new = nnls_multi(W.T @ W, W.T @ X, warm_passive=H > EPS_H)
+    except ConvergenceError as err:
+        raise ConvergenceError(
+            f"H update did not converge in column {err.column}",
+            best=err.best, column=err.column,
+        ) from err
     np.maximum(H_new, EPS_H, out=H_new)
     return H_new
 
@@ -184,18 +184,13 @@ def update_w(X, Y, H, theta, lam, W_old):
         H_aug = np.hstack([H, (s * theta[1:])[:, None]])
     else:
         X_aug, H_aug = X, H
-    AtA = H_aug @ H_aug.T
-    AtB = H_aug @ X_aug.T
-    cap = 3 * r
-    W_new = np.empty_like(W_old)
-    for i in range(n):
-        try:
-            W_new[i, :] = _nnls_normal(AtA, AtB[:, i], cap, warm_passive=W_old[i, :] > 0)
-        except ConvergenceError as err:
-            raise ConvergenceError(
-                f"W update did not converge in row {i}", best=err.best, row=i
-            ) from err
-    return W_new
+    try:
+        W_new = nnls_multi(H_aug @ H_aug.T, H_aug @ X_aug.T, warm_passive=(W_old > 0).T)
+    except ConvergenceError as err:
+        raise ConvergenceError(
+            f"W update did not converge in row {err.column}", best=err.best, row=err.column
+        ) from err
+    return np.ascontiguousarray(W_new.T)
 
 
 def normalize(fac):
@@ -270,8 +265,11 @@ def _fit_once(X, Y, cfg, seed, restart_index):
 
     if lam == 0:
         # Regression is decoupled: fit theta once against the settled weights.
+        # The last trace row then describes the returned model; F = N is
+        # unchanged, only R moves off the random initial theta.
         theta = update_theta(W, Y)
         F, N, R = objective(Factorization(W, H, theta), X, Y, lam)
+        trace[-1] = (it, F, N, R)
 
     report = FitReport(
         objective_trace=trace,
@@ -338,32 +336,49 @@ def fit(X, Y, cfg):
     return fac, report
 
 
-def predict(H, theta, x):
-    """Predict the response for one document row.
+def predict_many(H, theta, X):
+    """Predict the response for every document row of ``X``.
 
-    The document is first encoded as the best nonnegative combination of
-    topic rows, then passed through the linear model.
+    Each document is encoded as the best nonnegative combination of topic
+    rows -- one batched solve for all of them -- then passed through the
+    linear model.
+
+    Returns
+    -------
+    (y_hat, W) : (k,) predicted responses and the (k, r) topic encodings.
+    """
+    H = np.asarray(H, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != H.shape[1]:
+        raise ValueError(
+            f"documents have shape {X.shape}, expected rows of length {H.shape[1]}"
+        )
+    if not np.all(np.isfinite(X)):
+        raise ValueError("documents contain non-finite entries")
+    if np.any(X < 0):
+        raise ValueError("documents must be nonnegative")
+    # Per-document products (H x, w . theta) round exactly as a one-document
+    # call does, so predict_many agrees bit for bit with predict.
+    HX = np.matmul(H, X[:, :, None])[:, :, 0]
+    W = np.ascontiguousarray(nnls_multi(H @ H.T, HX.T).T)
+    y_hat = theta[0] + np.matmul(W[:, None, :], theta[1:])[:, 0]
+    return y_hat, W
+
+
+def predict(H, theta, x):
+    """Predict the response for one document row: the one-row case of
+    :func:`predict_many`.
 
     Returns
     -------
     (y_hat, w) : predicted response and the (r,) topic encoding.
     """
-    H = np.asarray(H, dtype=float)
-    theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != H.shape[1]:
-        raise ValueError(
-            f"document vector has length {x.shape[0] if x.ndim == 1 else x.shape}, "
-            f"expected {H.shape[1]}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("document vector contains non-finite entries")
-    if np.any(x < 0):
-        raise ValueError("document vector must be nonnegative")
-    r = H.shape[0]
-    w = _nnls_normal(H @ H.T, H @ x, 3 * r)
-    y_hat = float(theta[0] + w @ theta[1:])
-    return y_hat, w
+    if x.ndim != 1:
+        raise ValueError(f"document vector must be 1-d, got shape {x.shape}")
+    y_hat, W = predict_many(H, theta, x[None, :])
+    return float(y_hat[0]), W[0]
 
 
 MODEL_VERSION = 1

@@ -3,17 +3,17 @@
 One train/test split is drawn per sweep (so every cell sees the same
 rows), then each (r, lambda) cell runs a full multi-restart fit.  Rows
 report mean squared regression error on both sides, computed on the test
-side through the same encode-then-predict path used for unseen documents.
+side through the same encode-then-predict path used for unseen documents
+(:func:`cssnmf.model.predict_many`, one batched solve per cell).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .io import format_float
 from .linalg import ConvergenceError
-from .model import FitConfig, NumericFailure, fit, objective, predict
+from .model import FitConfig, NumericFailure, fit, objective, predict_many
 from .synthetic import split_arrays
 
 __all__ = [
@@ -109,12 +109,12 @@ def _run_cell(X_tr, Y_tr, X_te, Y_te, r, lam, spec):
             best_restart=-1, iterations=0, status=f"failed: {err}",
         )
     _, _, R_train = objective(fac, X_tr, Y_tr, lam)
-    errs = [predict(fac.H, fac.theta, x)[0] - y for x, y in zip(X_te, Y_te)]
+    y_hat, _ = predict_many(fac.H, fac.theta, X_te)
     return SweepCell(
         r=r,
         lam=lam,
         train_mse=R_train / X_tr.shape[0],
-        test_mse=float(np.mean(np.square(errs))),
+        test_mse=float(np.mean(np.square(y_hat - Y_te))),
         final_F=report.final_objective,
         best_restart=report.restart_index,
         iterations=report.iterations_run,
@@ -124,23 +124,19 @@ def _run_cell(X_tr, Y_tr, X_te, Y_te, r, lam, spec):
     )
 
 
-def run_sweep(X, Y, spec, threads=1):
+def run_sweep(X, Y, spec):
     """Fit every (r, lambda) cell; returns cells sorted by (r, lambda).
 
     A cell whose restarts all fail is reported with NaN metrics and a
     failure note instead of aborting the sweep.
     """
     (X_tr, Y_tr), (X_te, Y_te), _ = split_arrays(X, Y, spec.train_frac, spec.split_seed)
-    jobs = [(r, lam) for r in spec.r_values for lam in spec.lambda_values]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(
-                pool.map(lambda j: _run_cell(X_tr, Y_tr, X_te, Y_te, j[0], j[1], spec), jobs)
-            )
-    else:
-        cells = [_run_cell(X_tr, Y_tr, X_te, Y_te, r, lam, spec) for r, lam in jobs]
-    cells.sort(key=lambda c: (c.r, c.lam))
-    return cells
+    # SweepSpec keeps both axes sorted, so the cells come out in (r, lambda) order.
+    return [
+        _run_cell(X_tr, Y_tr, X_te, Y_te, r, lam, spec)
+        for r in spec.r_values
+        for lam in spec.lambda_values
+    ]
 
 
 SWEEP_COLUMNS = [

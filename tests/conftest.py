@@ -1,5 +1,7 @@
 import numpy as np
 
+from cssnmf.linalg import DUAL_TOL, ConvergenceError
+
 
 def brute_force_nnls(A, b):
     """Exhaustive reference NNLS: try every support set, solve the
@@ -25,3 +27,72 @@ def brute_force_nnls(A, b):
             best_val = val
             best_x = x
     return best_x
+
+
+# Reference oracle: the one-column Lawson--Hanson solve that the batched
+# kernel cssnmf.linalg.nnls_multi replaced, kept verbatim.  Every column of
+# nnls_multi must take its pivot sequence and return its exact result.
+
+def _solve_passive(AtA, Atb, passive):
+    """Unconstrained minimizer restricted to the passive index set."""
+    idx = np.flatnonzero(passive)
+    M = AtA[np.ix_(idx, idx)]
+    v = Atb[idx]
+    try:
+        z = np.linalg.solve(M, v)
+    except np.linalg.LinAlgError:
+        z, _, _, _ = np.linalg.lstsq(M, v, rcond=None)
+    return idx, z
+
+
+def _nnls_normal(AtA, Atb, max_iter, warm_passive=None):
+    """Lawson--Hanson on precomputed cross products ``AtA = A'A``, ``Atb = A'b``.
+
+    ``warm_passive`` optionally seeds the passive set from a previous solve;
+    it is discarded if its restricted solution is not strictly feasible.
+    """
+    q = Atb.shape[0]
+    x = np.zeros(q)
+    passive = np.zeros(q, dtype=bool)
+    tol = DUAL_TOL * (1.0 + float(np.max(np.abs(Atb), initial=0.0)))
+
+    if warm_passive is not None and warm_passive.any():
+        idx, z = _solve_passive(AtA, Atb, warm_passive)
+        if np.all(np.isfinite(z)) and np.all(z > 0.0):
+            x[idx] = z
+            passive = warm_passive.copy()
+
+    outer = 0
+    while True:
+        w = Atb - AtA @ x
+        active = ~passive
+        if not active.any() or np.max(w[active]) <= tol:
+            return x
+        outer += 1
+        if outer > max_iter:
+            raise ConvergenceError(
+                f"active-set iteration cap {max_iter} exceeded", best=x
+            )
+        # Most violated dual coordinate enters the passive set.
+        cand = np.where(active, w, -np.inf)
+        passive[int(np.argmax(cand))] = True
+
+        while True:
+            idx, z = _solve_passive(AtA, Atb, passive)
+            if np.all(z > 0.0):
+                x.fill(0.0)
+                x[idx] = z
+                break
+            # Step toward z until the first passive coordinate hits zero.
+            xp = x[idx]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(z <= 0.0, xp / (xp - z), np.inf)
+            ratio = np.where(np.isnan(ratio), 0.0, ratio)
+            alpha = float(np.min(ratio))
+            x[idx] = xp + alpha * (z - xp)
+            drop = (ratio <= alpha) & (z <= 0.0)
+            x[idx[drop]] = 0.0
+            passive[idx[drop]] = False
+            x[~passive] = 0.0
+            if not passive.any():
+                break

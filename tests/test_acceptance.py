@@ -138,7 +138,7 @@ def lambda_study():
     spec = SweepSpec(r_values=[4], lambda_values=THINNED_LAMBDAS, restarts=50,
                      split_seed=0, fit_seed=0, train_frac=0.7, tau=1e-4,
                      max_iter=100)
-    cells = run_sweep(ds.X, ds.Y, spec, threads=4)
+    cells = run_sweep(ds.X, ds.Y, spec)
     assert all(cell.ok for cell in cells), [c.status for c in cells]
     return cells
 

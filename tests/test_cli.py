@@ -213,18 +213,40 @@ def test_sweep_single_cell_matches_cmd_fit(runner, tmp_path):
     assert int(rows[0]["iterations"]) == int(final[0])
 
 
-def test_sweep_csv_is_deterministic_across_threads(runner, tmp_path):
+# The acceptance benchmark (n=100, m=40, planted rank 4, noise 4, seed 0) swept
+# over the thinned lambda grid with one restart per cell.  Pinned from the
+# per-column solver that the batched kernel replaced: the fits must be the
+# same to the last digit.  Columns: lambda, train_mse, final_F, best_restart,
+# iterations, test_mse.
+PINNED_ACCEPTANCE_SWEEP = [
+    ('0.0', '17.87541260003909', '45784.57018447334', '0', '100', 24.651793919503344),
+    ('0.01', '17.811740032673352', '45788.20000509727', '0', '100', 24.677459390322742),
+    ('0.1', '17.275557222731173', '45854.98054252192', '0', '100', 24.72642731004343),
+    ('1.0', '13.626253343107456', '50948.681500629085', '0', '100', 26.9022306826431),
+    ('10.0', '3.777059884877461', '67011.08599829082', '0', '100', 69.5744471732177),
+    ('100.0', '0.1869207570537728', '137567.92397340204', '0', '100', 23.30443263007722),
+    ('1000.0', '0.04126395945953564', '271459.94980729936', '0', '100', 329.29157003687163),
+    ('10000.0', '0.0017456559116583695', '353496.4393077727', '0', '100', 570.6722731787626),
+]
+
+
+def test_sweep_on_acceptance_spec_reproduces_pinned_fits(runner, tmp_path):
     ds_dir = tmp_path / "ds"
-    invoke(runner, ["--seed", 6, "--out", ds_dir, "synth", "--n", 20, "--m", 8, "--r", 2])
-    outs = []
-    for threads, name in ((1, "s1"), (3, "s3")):
-        res = invoke(runner, ["--seed", 0, "--threads", threads, "--out", tmp_path / name,
-                              "sweep", ds_dir / "X.csv", ds_dir / "Y.csv",
-                              "--r", "1,2", "--lambdas", "0,0.5", "--restarts", 1,
-                              "--max-iter", 10])
-        assert res.exit_code == 0
-        outs.append((tmp_path / name / "sweep.csv").read_bytes())
-    assert outs[0] == outs[1]
+    invoke(runner, ["--seed", 0, "--out", ds_dir, "synth", "--n", 100, "--m", 40, "--r", 4,
+                    "--eta-x", 4, "--eta-y", 4])
+    lambdas = ",".join(row[0] for row in PINNED_ACCEPTANCE_SWEEP)
+    res = invoke(runner, ["--seed", 0, "--out", tmp_path / "sw", "sweep",
+                          ds_dir / "X.csv", ds_dir / "Y.csv",
+                          "--r", 4, "--lambdas", lambdas, "--restarts", 1])
+    assert res.exit_code == 0
+    rows = list(csv.DictReader((tmp_path / "sw" / "sweep.csv").open()))
+    assert len(rows) == len(PINNED_ACCEPTANCE_SWEEP)
+    for row, (lam, train_mse, final_F, best_restart, iterations, test_mse) in zip(
+            rows, PINNED_ACCEPTANCE_SWEEP):
+        assert (row["lambda"], row["train_mse"], row["final_F"], row["best_restart"],
+                row["iterations"], row["status"]) == \
+            (lam, train_mse, final_F, best_restart, iterations, "ok")
+        assert float(row["test_mse"]) == pytest.approx(test_mse, rel=1e-12, abs=0.0)
 
 
 def test_sweep_richer_rank_wins_on_planted_rank_four_data(runner, tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cssnmf.linalg import DUAL_TOL, ConvergenceError, frob_sq, lstsq, nnls, _nnls_normal
-from conftest import brute_force_nnls
+from cssnmf.linalg import DUAL_TOL, ConvergenceError, frob_sq, lstsq, nnls, nnls_multi
+from conftest import _nnls_normal, brute_force_nnls
 
 
 def test_frob_sq_matches_double_loop():
@@ -107,9 +109,9 @@ def test_nnls_warm_start_agrees_with_cold_start():
         A = rng.normal(size=(q + 4, q))
         b = rng.normal(size=q + 4)
         AtA = A.T @ A
-        Atb = A.T @ b
-        cold = _nnls_normal(AtA, Atb, 3 * q)
-        warm = _nnls_normal(AtA, Atb, 3 * q, warm_passive=rng.random(q) < 0.5)
+        Atb = (A.T @ b)[:, None]
+        cold = nnls_multi(AtA, Atb)
+        warm = nnls_multi(AtA, Atb, warm_passive=rng.random((q, 1)) < 0.5)
         assert np.linalg.norm(cold - warm) <= 1e-8
 
 
@@ -138,3 +140,110 @@ def test_dual_tolerance_is_relative():
     x2 = nnls(A * 1e6, b * 1e6)
     assert np.allclose(x1, x2, atol=1e-9)
     assert DUAL_TOL < 1e-8
+
+
+# ------------------------------------------------------------- nnls_multi
+
+@st.composite
+def normal_equations(draw, max_q=12, max_k=60, degenerate=True):
+    """Cross products ``AtA = H H'``, ``AtB = H B`` of a random problem, plus
+    the ``H`` (q x p) and ``B`` (p x k) they came from and a warm start."""
+    q = draw(st.integers(1, max_q))
+    k = draw(st.integers(1, max_k))
+    p = draw(st.integers(q if not degenerate else 1, q + 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def sample(kind, shape):
+        return rng.normal(size=shape) if kind == "gaussian" else rng.uniform(size=shape)
+
+    H = sample(draw(st.sampled_from(["gaussian", "uniform"])), (q, p))
+    B = sample(draw(st.sampled_from(["gaussian", "uniform"])), (p, k))
+    if degenerate:
+        rank_defect = draw(st.sampled_from(["none", "duplicate_row", "zero_row"]))
+        if rank_defect == "duplicate_row" and q >= 2:
+            i, j = rng.choice(q, size=2, replace=False)
+            H[j] = H[i]
+        elif rank_defect == "zero_row":
+            H[rng.integers(q)] = 0.0
+        B[:, rng.random(k) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    warm = draw(st.sampled_from(["cold", "random", "all"]))
+    warm_passive = {
+        "cold": None,
+        "random": rng.random((q, k)) < 0.5,
+        "all": np.ones((q, k), dtype=bool),
+    }[warm]
+    return H @ H.T, H @ B, H, B, warm_passive
+
+
+def _reference_columns(AtA, AtB, warm_passive, max_iter):
+    """Column-by-column reference solve; failures as {column: best}."""
+    q, k = AtB.shape
+    X = np.zeros((q, k))
+    failed = {}
+    for j in range(k):
+        warm = None if warm_passive is None else warm_passive[:, j]
+        try:
+            X[:, j] = _nnls_normal(AtA, AtB[:, j], max_iter or 3 * q, warm_passive=warm)
+        except ConvergenceError as err:
+            failed[j] = err.best
+    return X, failed
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(normal_equations(), st.sampled_from([None, None, None, 1, 2]))
+def test_nnls_multi_is_bit_identical_to_per_column_reference(problem, max_iter):
+    AtA, AtB, _, _, warm_passive = problem
+    ref, failed = _reference_columns(AtA, AtB, warm_passive, max_iter)
+    if failed:
+        with pytest.raises(ConvergenceError) as exc:
+            nnls_multi(AtA, AtB, max_iter=max_iter, warm_passive=warm_passive)
+        j = min(failed)
+        assert exc.value.column == j
+        assert np.array_equal(exc.value.best, failed[j])
+    else:
+        result = nnls_multi(AtA, AtB, max_iter=max_iter, warm_passive=warm_passive)
+        assert np.array_equal(result, ref)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(normal_equations(max_q=6, max_k=8, degenerate=False))
+def test_nnls_multi_matches_brute_force_oracle(problem):
+    AtA, AtB, H, B, warm_passive = problem
+    X = nnls_multi(AtA, AtB, warm_passive=warm_passive)
+    for j in range(B.shape[1]):
+        assert np.linalg.norm(X[:, j] - brute_force_nnls(H.T, B[:, j])) <= 1e-6
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(normal_equations(degenerate=False))
+def test_nnls_multi_satisfies_kkt_at_dual_tol(problem):
+    AtA, AtB, _, _, warm_passive = problem
+    X = nnls_multi(AtA, AtB, warm_passive=warm_passive)
+    assert np.all(X >= 0)
+    for j in range(AtB.shape[1]):
+        x = np.ascontiguousarray(X[:, j])
+        grad = AtB[:, j] - AtA @ x
+        tol = DUAL_TOL * (1.0 + np.max(np.abs(AtB[:, j])))
+        # Dual feasibility holds exactly: it is the kernel's stopping test.
+        assert np.max(grad[x == 0], initial=-np.inf) <= tol
+        # Complementary slackness up to the rounding of the passive solve.
+        assert np.max(np.abs(grad[x > 0]), initial=0.0) <= 1e-7 * (1.0 + np.max(np.abs(AtB[:, j])))
+
+
+def test_nnls_multi_cap_names_lowest_failing_column():
+    rng = np.random.default_rng(61)
+    A = rng.uniform(0.1, 1.0, size=(12, 6))
+    # Column 0 is solved at x = 0; columns 1 and 2 need several entering steps.
+    B = np.column_stack([-A @ np.ones(6), A @ rng.uniform(0.5, 1.5, size=6),
+                         A @ rng.uniform(0.5, 1.5, size=6)])
+    with pytest.raises(ConvergenceError) as exc:
+        nnls_multi(A.T @ A, A.T @ B, max_iter=1)
+    assert exc.value.column == 1
+    assert exc.value.best.shape == (6,) and np.all(exc.value.best >= 0)
+
+
+def test_nnls_multi_rejects_shape_mismatch():
+    with pytest.raises(ValueError):
+        nnls_multi(np.eye(3), np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        nnls_multi(np.eye(3), np.zeros((3, 2)), warm_passive=np.ones((3, 3), dtype=bool))

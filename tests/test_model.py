@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cssnmf.model
 from cssnmf.linalg import ConvergenceError
@@ -15,6 +17,7 @@ from cssnmf.model import (
     normalize,
     objective,
     predict,
+    predict_many,
     save_model,
     update_h,
     update_theta,
@@ -187,14 +190,26 @@ def test_update_w_does_not_increase_objective():
         assert np.all(W_new >= 0)
 
 
-def test_update_w_propagates_row_index_on_failure(monkeypatch):
-    def explode(AtA, Atb, max_iter, warm_passive=None):
-        raise ConvergenceError("stuck", best=np.zeros(2))
+def _failing_kernel(column):
+    def explode(AtA, AtB, max_iter=None, warm_passive=None):
+        raise ConvergenceError("stuck", best=np.zeros(AtA.shape[0]), column=column)
+    return explode
 
-    monkeypatch.setattr(cssnmf.model, "_nnls_normal", explode)
+
+def test_update_w_propagates_row_index_on_failure(monkeypatch):
+    monkeypatch.setattr(cssnmf.model, "nnls_multi", _failing_kernel(2))
     with pytest.raises(ConvergenceError) as exc:
         update_w(np.ones((3, 4)), np.ones(3), np.ones((2, 4)), np.zeros(3), 0.0, np.ones((3, 2)))
-    assert exc.value.row == 0
+    assert exc.value.row == 2 and exc.value.column is None
+    assert "row 2" in str(exc.value)
+
+
+def test_update_h_propagates_column_index_on_failure(monkeypatch):
+    monkeypatch.setattr(cssnmf.model, "nnls_multi", _failing_kernel(3))
+    with pytest.raises(ConvergenceError) as exc:
+        update_h(np.ones((3, 4)), np.ones((3, 2)), np.ones((2, 4)))
+    assert exc.value.column == 3 and exc.value.row is None
+    assert "column 3" in str(exc.value)
 
 
 # ---------------------------------------------------------------- normalize
@@ -285,6 +300,15 @@ def test_fit_lambda_zero_fits_theta_once_at_the_end():
     assert np.array_equal(fac.theta, update_theta(fac.W, ds.Y))
 
 
+def test_fit_lambda_zero_last_trace_row_describes_returned_model():
+    ds = generate(SyntheticConfig(n=15, m=8, r_true=2, M=5.0, eta_x=1.0, eta_y=1.0, seed=14))
+    fac, report = fit(ds.X, ds.Y, FitConfig(r=2, lam=0.0, tau=1e-6, max_iter=50, seed=3, restarts=2))
+    it, F, N, R = report.objective_trace[-1]
+    assert it == report.iterations_run
+    assert (F, N, R) == objective(fac, ds.X, ds.Y, 0.0)
+    assert report.final_objective == F
+
+
 def test_fit_restart_selection_prefers_lowest_objective():
     ds = generate(SyntheticConfig(n=20, m=10, r_true=3, M=8.0, eta_x=2.0, eta_y=2.0, seed=15))
     cfg = FitConfig(r=3, lam=0.2, tau=1e-6, max_iter=40, seed=7, restarts=4)
@@ -368,6 +392,33 @@ def test_predict_matches_brute_force_encoding():
         ref = brute_force_nnls(H.T, x)
         assert np.linalg.norm(w - ref) <= 1e-6
         assert abs(y_hat - (theta[0] + w @ theta[1:])) <= 1e-12
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(1, 30), st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
+def test_predict_many_equals_stacked_predict(r, m, k, seed):
+    rng = np.random.default_rng(seed)
+    H = rng.uniform(size=(r, m))
+    theta = rng.normal(size=r + 1)
+    X = rng.uniform(size=(k, m)) * (rng.random((k, 1)) < 0.8)
+    y_hat, W = predict_many(H, theta, X)
+    assert y_hat.shape == (k,) and W.shape == (k, r)
+    for i, x in enumerate(X):
+        y_i, w_i = predict(H, theta, x)
+        assert y_hat[i] == y_i and np.array_equal(W[i], w_i)
+
+
+def test_predict_many_validates_input():
+    H = np.ones((2, 3))
+    theta = np.zeros(3)
+    with pytest.raises(ValueError):
+        predict_many(H, theta, np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        predict_many(H, theta, np.ones(3))
+    with pytest.raises(ValueError):
+        predict_many(H, theta, np.array([[1.0, -1.0, 0.0]]))
+    with pytest.raises(ValueError):
+        predict_many(H, theta, np.array([[1.0, np.nan, 0.0]]))
 
 
 def test_predict_validates_input():

@@ -80,17 +80,6 @@ def test_sweep_grid_covers_all_cells_in_order():
     assert all(c.train_mse >= 0 and c.test_mse >= 0 for c in cells)
 
 
-def test_sweep_threads_give_identical_results():
-    ds = generate(SyntheticConfig(n=20, m=8, r_true=2, M=4.0, eta_x=1.0, eta_y=1.0, seed=23))
-    spec = SweepSpec(r_values=(1, 2), lambda_values=(0.0, 0.5), restarts=1,
-                     max_iter=8, tau=1e-4)
-    serial = run_sweep(ds.X, ds.Y, spec, threads=1)
-    parallel = run_sweep(ds.X, ds.Y, spec, threads=4)
-    for a, b in zip(serial, parallel):
-        assert (a.r, a.lam, a.train_mse, a.test_mse, a.final_F) == \
-               (b.r, b.lam, b.train_mse, b.test_mse, b.final_F)
-
-
 def test_failed_cell_is_flagged_but_sweep_continues(monkeypatch):
     real_fit = cssnmf.sweep.fit
 
