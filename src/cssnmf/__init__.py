@@ -27,7 +27,7 @@ from .model import (
     update_w,
 )
 from .sweep import SweepSpec, lambda_grid, run_sweep
-from .synthetic import SyntheticConfig, SyntheticDataset, generate, split, split_arrays
+from .synthetic import SyntheticConfig, SyntheticDataset, generate, split_arrays
 from .text import (
     DocumentTermMatrix,
     RatedCorpus,
@@ -69,7 +69,6 @@ __all__ = [
     "SyntheticConfig",
     "SyntheticDataset",
     "generate",
-    "split",
     "split_arrays",
     "DocumentTermMatrix",
     "RatedCorpus",

@@ -3,7 +3,15 @@
 Floats are written with ``repr``, which round-trips exactly, so two runs
 producing equal arrays produce byte-identical files.  Line endings are
 always ``"\\n"``.
+
+Text matrices are mostly zeros, so the matrix writer formats only the
+nonzero entries and writes the literal ``0.0`` (which is ``repr(0.0)``)
+for the rest; the bytes are the same as formatting every cell.  The
+reader hands the body to numpy's C parser instead of calling ``float()``
+per cell; the values are the same.
 """
+
+import re
 
 import numpy as np
 
@@ -21,11 +29,26 @@ def format_float(v):
     return repr(float(v))
 
 
-def _write_rows(path, rows):
+def _write_matrix(path, X, header):
+    """Write ``header`` and the rows of the 2-D array ``X``, formatting only
+    the entries whose bit pattern is not ``+0.0``."""
+    n, m = X.shape
+    # Comparing bit patterns sends -0.0 and NaN through repr like any other
+    # nonzero; only +0.0 takes the literal.
+    rows, cols = np.nonzero(np.ascontiguousarray(X).view(np.int64))
+    cells = [repr(v) for v in X[rows, cols].tolist()]
+    cols = cols.tolist()
+    ends = np.searchsorted(rows, np.arange(1, n + 1)).tolist()
+    zeros = ["0.0"] * m
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in rows:
-            fh.write(",".join(row))
-            fh.write("\n")
+        fh.write(",".join(header) + "\n")
+        start = 0
+        for end in ends:
+            line = zeros.copy()
+            for j, cell in zip(cols[start:end], cells[start:end]):
+                line[j] = cell
+            fh.write(",".join(line) + "\n")
+            start = end
 
 
 def save_matrix_csv(path, X, header=None):
@@ -40,9 +63,7 @@ def save_matrix_csv(path, X, header=None):
         header = [f"x{j}" for j in range(X.shape[1])]
     if len(header) != X.shape[1]:
         raise ValueError(f"header has {len(header)} names for {X.shape[1]} columns")
-    rows = [list(header)]
-    rows.extend([format_float(v) for v in row] for row in X)
-    _write_rows(path, rows)
+    _write_matrix(path, X, header)
 
 
 def _is_numeric_row(cells):
@@ -54,38 +75,63 @@ def _is_numeric_row(cells):
     return True
 
 
+def _parse(lines):
+    # comments=None: by default loadtxt drops everything after a '#', so
+    # "1.0,2.0#x" would silently read as [1.0, 2.0].
+    return np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None)
+
+
 def load_matrix_csv(path):
     """Read a matrix CSV; a non-numeric first row is taken as the header.
 
     Returns ``(X, header)`` with ``header`` None when the file starts with
     data.  A header made entirely of numeric-looking terms would be
     misread; the writers here always emit at least one non-numeric name.
+    Blank and whitespace-only lines are skipped.  Errors name the path and
+    the 1-based line of the file.
+
+    Cells are parsed by numpy, which reads every float the writers emit
+    (and any ``float()`` spelling of a decimal, ``inf`` or ``nan``) to the
+    same bits as ``float()``, but refuses the Python-only literals
+    ``float()`` would take: digit-group underscores (``1_0``) and
+    non-ASCII digits.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh if ln.strip()]
-    if not lines:
+        numbered = [(k, ln.rstrip("\n").rstrip("\r")) for k, ln in enumerate(fh, start=1)
+                    if ln.strip()]
+    if not numbered:
         raise ValueError(f"{path}: empty file")
-    first = lines[0].split(",")
+    first = numbered[0][1].split(",")
     header = None
-    start = 0
     if not _is_numeric_row(first):
         header = first
-        start = 1
-    if start >= len(lines):
+        numbered = numbered[1:]
+    if not numbered:
         raise ValueError(f"{path}: no data rows")
-    data = []
-    width = None
-    for k, ln in enumerate(lines[start:], start=start + 1):
-        cells = ln.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise ValueError(f"{path}: row {k} has {len(cells)} cells, expected {width}")
+    lines = [ln for _, ln in numbered]
+    commas = lines[0].count(",")
+    for k, ln in numbered:
+        if ln.count(",") != commas:
+            raise ValueError(
+                f"{path}: row {k} has {ln.count(',') + 1} cells, expected {commas + 1}"
+            )
+    try:
+        X = _parse(lines)
+    except ValueError as err:
+        raise ValueError(f"{path}: {_locate(numbered, err)}") from None
+    return X, header
+
+
+def _locate(numbered, err):
+    """Name the first line that the parser rejects on its own (error path)."""
+    for k, ln in numbered:
         try:
-            data.append([float(c) for c in cells])
-        except ValueError as err:
-            raise ValueError(f"{path}: row {k} is not numeric: {err}") from None
-    return np.asarray(data, dtype=float), header
+            _parse([ln])
+        except ValueError as line_err:
+            # numpy numbers the rows of the one line it was given; drop that.
+            reason = re.sub(r" at row \d+, column (\d+)", r" in column \1", str(line_err))
+            return f"row {k} is not numeric: {reason}"
+    return str(err)
 
 
 def save_vector_csv(path, y, name="y"):
@@ -93,9 +139,7 @@ def save_vector_csv(path, y, name="y"):
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"expected a vector, got shape {y.shape}")
-    rows = [[name]]
-    rows.extend([format_float(v)] for v in y)
-    _write_rows(path, rows)
+    _write_matrix(path, y[:, None], [name])
 
 
 def load_vector_csv(path):

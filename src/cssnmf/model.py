@@ -354,6 +354,9 @@ def predict_many(H, theta, X):
         raise ValueError(
             f"documents have shape {X.shape}, expected rows of length {H.shape[1]}"
         )
+    # A NaN in the Gram or right-hand side stalls the active-set solve.
+    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(theta))):
+        raise ValueError("model H/theta contain non-finite entries")
     if not np.all(np.isfinite(X)):
         raise ValueError("documents contain non-finite entries")
     if np.any(X < 0):
@@ -446,7 +449,15 @@ def load_model(path):
     theta = np.asarray(doc["theta"], dtype=float)
     if H.ndim != 2 or theta.shape[0] != H.shape[0] + 1:
         raise ValueError("model document is inconsistent: H/theta shapes disagree")
+    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(theta))):
+        raise ValueError("model document has non-finite entries in H/theta")
     idf = doc.get("idf")
+    for key in ("vocabulary", "idf"):
+        if doc.get(key) is not None and len(doc[key]) != H.shape[1]:
+            raise ValueError(
+                f"model document is inconsistent: {len(doc[key])} {key} entries "
+                f"for {H.shape[1]} columns of H"
+            )
     return Model(
         r=int(doc["r"]),
         lam=float(doc["lambda"]),

@@ -18,7 +18,6 @@ __all__ = [
     "SyntheticConfig",
     "SyntheticDataset",
     "generate",
-    "split",
     "split_arrays",
     "save_dataset",
 ]
@@ -114,12 +113,6 @@ def split_arrays(X, Y, train_frac, seed):
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
     return (X[train_idx], Y[train_idx]), (X[test_idx], Y[test_idx]), (train_idx, test_idx)
-
-
-def split(ds, train_frac, seed):
-    """Train/test split of a dataset; returns ``((X, Y), (X, Y))``."""
-    train, test, _ = split_arrays(ds.X, ds.Y, train_frac, seed)
-    return train, test
 
 
 def save_dataset(ds, out_dir):

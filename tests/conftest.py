@@ -96,3 +96,69 @@ def _nnls_normal(AtA, Atb, max_iter, warm_passive=None):
             x[~passive] = 0.0
             if not passive.any():
                 break
+
+
+# Reference oracles: the per-cell CSV matrix writer and reader that
+# cssnmf.io.save_matrix_csv / load_matrix_csv replaced, kept verbatim
+# (apart from names).  The writer must match their bytes and the reader
+# their values, bit for bit.
+
+def _format_float(v):
+    return repr(float(v))
+
+
+def _write_rows(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for row in rows:
+            fh.write(",".join(row))
+            fh.write("\n")
+
+
+def save_matrix_csv_reference(path, X, header=None):
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {X.shape}")
+    if header is None:
+        header = [f"x{j}" for j in range(X.shape[1])]
+    if len(header) != X.shape[1]:
+        raise ValueError(f"header has {len(header)} names for {X.shape[1]} columns")
+    rows = [list(header)]
+    rows.extend([_format_float(v) for v in row] for row in X)
+    _write_rows(path, rows)
+
+
+def _is_numeric_row(cells):
+    try:
+        for c in cells:
+            float(c)
+    except ValueError:
+        return False
+    return True
+
+
+def load_matrix_csv_reference(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    first = lines[0].split(",")
+    header = None
+    start = 0
+    if not _is_numeric_row(first):
+        header = first
+        start = 1
+    if start >= len(lines):
+        raise ValueError(f"{path}: no data rows")
+    data = []
+    width = None
+    for k, ln in enumerate(lines[start:], start=start + 1):
+        cells = ln.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise ValueError(f"{path}: row {k} has {len(cells)} cells, expected {width}")
+        try:
+            data.append([float(c) for c in cells])
+        except ValueError as err:
+            raise ValueError(f"{path}: row {k} is not numeric: {err}") from None
+    return np.asarray(data, dtype=float), header

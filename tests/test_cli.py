@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,6 +389,25 @@ def test_predict_wrong_column_count(runner, tmp_path):
     res = runner.invoke(main, ["--out", str(tmp_path / "p"), "predict", str(model_path),
                                str(tmp_path / "docs.csv")])
     assert res.exit_code == 3
+
+
+def test_predict_non_finite_model_exits_3_instead_of_hanging(tmp_path):
+    # Python's json reads NaN; an unchecked NaN in H stalls the NNLS solve,
+    # so run in a subprocess that a timeout can stop.
+    model_path = tmp_path / "model.json"
+    _planted_model(model_path)
+    doc = json.loads(model_path.read_text())
+    doc["H"][0][0] = float("nan")
+    model_path.write_text(json.dumps(doc))
+    save_matrix_csv(tmp_path / "docs.csv", np.ones((2, 4)))
+    env = dict(os.environ, PYTHONPATH=str(Path(cssnmf.cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cssnmf.cli", "--out", str(tmp_path / "p"), "predict",
+         str(model_path), str(tmp_path / "docs.csv")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "non-finite" in proc.stderr
 
 
 # ----------------------------------------------------- text path end to end

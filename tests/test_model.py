@@ -421,6 +421,16 @@ def test_predict_many_validates_input():
         predict_many(H, theta, np.array([[1.0, np.nan, 0.0]]))
 
 
+@pytest.mark.parametrize("where", ["H", "theta"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_predict_many_rejects_non_finite_model(where, bad):
+    # A NaN in H or theta would otherwise stall the active-set solve.
+    params = {"H": np.ones((2, 3)), "theta": np.zeros(3)}
+    params[where].flat[1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        predict_many(params["H"], params["theta"], np.ones((2, 3)))
+
+
 def test_predict_validates_input():
     H = np.ones((2, 3))
     theta = np.zeros(3)
@@ -477,3 +487,34 @@ def test_load_model_rejects_unknown_version(tmp_path):
                                 "theta": [0.0, 1.0], "H": [[1.0]]}))
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def _write_model_doc(path, **changes):
+    doc = {"version": 1, "r": 1, "lambda": 0.0, "theta": [0.5, 1.0], "H": [[0.25, 0.75]],
+           "vocabulary": ["alpha", "beta"], "idf": [1.0, 2.0]}
+    doc.update(changes)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"H": [[float("nan"), 1.0]]}, "non-finite"),
+    ({"H": [[float("inf"), 1.0]]}, "non-finite"),
+    ({"theta": [0.5, float("nan")]}, "non-finite"),
+    ({"theta": [float("-inf"), 1.0]}, "non-finite"),
+    ({"vocabulary": ["alpha"]}, "1 vocabulary entries for 2 columns"),
+    ({"vocabulary": ["alpha", "beta", "gamma"]}, "3 vocabulary entries for 2 columns"),
+    ({"idf": [1.0, 2.0, 3.0]}, "3 idf entries for 2 columns"),
+])
+def test_load_model_rejects_bad_parameters(tmp_path, changes, message):
+    path = tmp_path / "model.json"
+    _write_model_doc(path, **changes)
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
+
+
+def test_load_model_accepts_the_valid_document(tmp_path):
+    path = tmp_path / "model.json"
+    _write_model_doc(path)
+    model = load_model(path)
+    assert model.vocabulary == ["alpha", "beta"]
+    assert np.array_equal(model.idf, [1.0, 2.0])

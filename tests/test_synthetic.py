@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cssnmf.io import load_matrix_csv, load_vector_csv
-from cssnmf.synthetic import SyntheticConfig, generate, save_dataset, split, split_arrays
+from cssnmf.synthetic import SyntheticConfig, generate, save_dataset, split_arrays
 
 
 def normal_cdf(z):
@@ -82,7 +82,7 @@ def test_config_validation(kwargs):
 
 def test_split_sizes_and_disjointness():
     ds = generate(SyntheticConfig(n=10, m=5, r_true=2, seed=5))
-    (X_tr, Y_tr), (X_te, Y_te) = split(ds, 0.7, seed=0)
+    (X_tr, Y_tr), (X_te, Y_te), _ = split_arrays(ds.X, ds.Y, 0.7, seed=0)
     assert X_tr.shape == (7, 5) and X_te.shape == (3, 5)
     assert Y_tr.shape == (7,) and Y_te.shape == (3,)
     stacked = np.vstack([X_tr, X_te])
@@ -91,10 +91,10 @@ def test_split_sizes_and_disjointness():
 
 def test_split_is_deterministic():
     ds = generate(SyntheticConfig(n=30, m=6, r_true=2, seed=6))
-    a = split(ds, 0.7, seed=9)
-    b = split(ds, 0.7, seed=9)
+    a = split_arrays(ds.X, ds.Y, 0.7, seed=9)
+    b = split_arrays(ds.X, ds.Y, 0.7, seed=9)
     assert np.array_equal(a[0][0], b[0][0]) and np.array_equal(a[1][1], b[1][1])
-    c = split(ds, 0.7, seed=10)
+    c = split_arrays(ds.X, ds.Y, 0.7, seed=10)
     assert not np.array_equal(a[0][0], c[0][0])
 
 
@@ -109,11 +109,11 @@ def test_split_covers_every_row_exactly_once():
 def test_split_rejects_degenerate_requests():
     ds = generate(SyntheticConfig(n=4, m=3, r_true=1, seed=8))
     with pytest.raises(ValueError):
-        split(ds, 0.05, seed=0)  # rounds to zero training rows
+        split_arrays(ds.X, ds.Y, 0.05, seed=0)  # rounds to zero training rows
     with pytest.raises(ValueError):
-        split(ds, 0.99, seed=0)  # rounds to zero test rows
+        split_arrays(ds.X, ds.Y, 0.99, seed=0)  # rounds to zero test rows
     with pytest.raises(ValueError):
-        split(ds, 1.5, seed=0)
+        split_arrays(ds.X, ds.Y, 1.5, seed=0)
 
 
 def test_save_dataset_round_trip(tmp_path):
