@@ -38,6 +38,7 @@ from .text import (
     build_tfidf,
     load_corpus,
     tokenize,
+    vectorize_many,
     vectorize_new,
 )
 
@@ -79,6 +80,7 @@ __all__ = [
     "build_tfidf",
     "load_corpus",
     "tokenize",
+    "vectorize_many",
     "vectorize_new",
     "__version__",
 ]

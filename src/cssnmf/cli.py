@@ -31,7 +31,7 @@ from .text import (
     load_corpus,
     load_vectorizer,
     save_vectorizer,
-    vectorize_new,
+    vectorize_many,
 )
 
 __all__ = ["main"]
@@ -297,7 +297,7 @@ def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
         tf_cfg = TfidfConfig(**model.config["tfidf"]) if "tfidf" in model.config else TfidfConfig()
         vocab = Vocabulary.from_terms(model.vocabulary)
         rc = load_corpus(docs_path, require_rating=False)
-        X = np.array([vectorize_new(e.text, vocab, tf_cfg, model.idf) for e in rc.entries])
+        X = vectorize_many([e.text for e in rc.entries], vocab, tf_cfg, model.idf)
         ids = [e.id for e in rc.entries]
         y_true = [e.rating for e in rc.entries]
         if ratings_path is not None:
@@ -370,10 +370,6 @@ def topics(obj, model_path, top_k):
     if model.vocabulary is None:
         raise click.UsageError("model has no vocabulary; fit with --vectorizer to name terms")
     m = len(model.vocabulary)
-    if len(model.vocabulary) != model.H.shape[1]:
-        raise ValueError(
-            f"model is inconsistent: {m} vocabulary terms for {model.H.shape[1]} columns"
-        )
     if top_k < 1:
         raise click.UsageError("--top-k must be >= 1")
     if top_k > m:

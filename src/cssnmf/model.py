@@ -13,6 +13,13 @@ of ``H`` rescaled to unit l1 norm after every iteration.  Each block of
 nonnegative solves -- all rows of ``W``, all columns of ``H``, all documents
 to encode -- is one call to the batched kernel
 :func:`cssnmf.linalg.nnls_multi`.
+
+A block step is kept only if it does not raise ``F``.  To decide, the fit
+recomputes only the terms the block moves and reuses the stored other
+term: the ``W`` step recomputes ``N`` and ``R``, the ``H`` step ``N`` alone
+(``R`` depends on ``W`` and ``theta`` only), and the ``theta`` step ``R``
+alone (``N`` depends on ``W`` and ``H`` only).  The stored term comes from
+the same code on the same arrays, so it equals a recomputation bit for bit.
 """
 
 import json
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ConvergenceError, frob_sq, lstsq, nnls_multi
+from .linalg import ConvergenceError, lstsq, nnls_multi
 
 __all__ = [
     "EPS_H",
@@ -82,7 +89,12 @@ class FitConfig:
 
 @dataclass
 class FitReport:
-    """Per-run record: trace rows are ``(iteration, F, N, R)``."""
+    """Per-run record: trace rows are ``(iteration, F, N, R)``.
+
+    ``block_steps`` maps each block (``"W"``, ``"H"``, ``"theta"``) to its
+    ``(accepted, rejected)`` step counts; the ``theta`` block steps only
+    while ``lam > 0``.  The counts are not written to the model file.
+    """
 
     objective_trace: list
     final_objective: float
@@ -90,6 +102,7 @@ class FitReport:
     converged: bool
     restart_index: int
     warnings: list = field(default_factory=list)
+    block_steps: dict = field(default_factory=dict)
 
 
 def _check_shapes(X, Y, W, H, theta):
@@ -105,6 +118,24 @@ def _check_shapes(X, Y, W, H, theta):
         raise ValueError(f"Y has length {Y.shape[0]}, X has {n} rows")
 
 
+def _recon_error(X, W, H):
+    """``||X - W H||_F^2``, formed in the one n x m buffer of ``W @ H``.
+
+    Bit-equal to ``frob_sq(X - W @ H)``: the same elementwise operations and
+    the same summation over an array of the same layout.
+    """
+    E = W @ H
+    np.subtract(X, E, out=E)
+    np.multiply(E, E, out=E)
+    return float(np.sum(E))
+
+
+def _regress_error(Y, W, theta):
+    """``||[1|W] theta - Y||^2``."""
+    resid = theta[0] + W @ theta[1:] - Y
+    return float(resid @ resid)
+
+
 def objective(fac, X, Y, lam):
     """Evaluate ``(F, N, R)`` for a factorization.
 
@@ -114,9 +145,8 @@ def objective(fac, X, Y, lam):
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     _check_shapes(X, Y, fac.W, fac.H, fac.theta)
-    N = frob_sq(X - fac.W @ fac.H)
-    resid = fac.theta[0] + fac.W @ fac.theta[1:] - Y
-    R = float(resid @ resid)
+    N = _recon_error(X, fac.W, fac.H)
+    R = _regress_error(Y, fac.W, fac.theta)
     return N + lam * R, N, R
 
 
@@ -223,29 +253,38 @@ def _fit_once(X, Y, cfg, seed, restart_index):
 
     F, N, R = objective(Factorization(W, H, theta), X, Y, lam)
     trace = [(0, F, N, R)]
+    steps = {"W": [0, 0], "H": [0, 0], "theta": [0, 0]}
+
+    def accept(block, N_new, R_new):
+        """Keep the stored terms of a step that does not raise ``F``."""
+        nonlocal F, N, R
+        F_new = N_new + lam * R_new
+        ok = F_new <= F
+        if ok:
+            F, N, R = F_new, N_new, R_new
+        steps[block][0 if ok else 1] += 1
+        return ok
+
     err = np.inf
     rel_err = np.inf
     it = 0
     while rel_err > cfg.tau and it < cfg.max_iter:
         # At extreme lam the regression-augmented solve can overflow to
-        # inf/nan; such a trial objective compares False below and the step
-        # is rejected, so the IEEE warnings carry no information here.
+        # inf/nan; such a trial objective compares False in accept and the
+        # step is rejected, so the IEEE warnings carry no information here.
         with np.errstate(over="ignore", invalid="ignore"):
             W_new = update_w(X, Y, H, theta, lam, W)
-            F_new, N_new, R_new = objective(Factorization(W_new, H, theta), X, Y, lam)
-        if F_new <= F:
-            W, F, N, R = W_new, F_new, N_new, R_new
+            if accept("W", _recon_error(X, W_new, H), _regress_error(Y, W_new, theta)):
+                W = W_new
 
         H_new = update_h(X, W, H)
-        F_new, N_new, R_new = objective(Factorization(W, H_new, theta), X, Y, lam)
-        if F_new <= F:
-            H, F, N, R = H_new, F_new, N_new, R_new
+        if accept("H", _recon_error(X, W, H_new), R):
+            H = H_new
 
         if lam > 0:
             theta_new = update_theta(W, Y)
-            F_new, N_new, R_new = objective(Factorization(W, H, theta_new), X, Y, lam)
-            if F_new <= F:
-                theta, F, N, R = theta_new, F_new, N_new, R_new
+            if accept("theta", N, _regress_error(Y, W, theta_new)):
+                theta = theta_new
 
         fac = normalize(Factorization(W, H, theta))
         W, H, theta = fac.W, fac.H, fac.theta
@@ -277,6 +316,7 @@ def _fit_once(X, Y, cfg, seed, restart_index):
         iterations_run=it,
         converged=bool(rel_err <= cfg.tau),
         restart_index=restart_index,
+        block_steps={block: tuple(c) for block, c in steps.items()},
     )
     return Factorization(W, H, theta), report
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .io import format_float
 from .linalg import ConvergenceError
-from .model import FitConfig, NumericFailure, fit, objective, predict_many
+from .model import FitConfig, NumericFailure, _regress_error, fit, predict_many
 from .synthetic import split_arrays
 
 __all__ = [
@@ -108,7 +108,7 @@ def _run_cell(X_tr, Y_tr, X_te, Y_te, r, lam, spec):
             r=r, lam=lam, train_mse=np.nan, test_mse=np.nan, final_F=np.nan,
             best_restart=-1, iterations=0, status=f"failed: {err}",
         )
-    _, _, R_train = objective(fac, X_tr, Y_tr, lam)
+    R_train = _regress_error(Y_tr, fac.W, fac.theta)
     y_hat, _ = predict_many(fac.H, fac.theta, X_te)
     return SweepCell(
         r=r,

@@ -31,6 +31,7 @@ __all__ = [
     "build_tfidf",
     "balance",
     "vectorize_new",
+    "vectorize_many",
     "interval_index",
     "load_corpus",
     "save_vectorizer",
@@ -166,18 +167,33 @@ def tokenize(text, cfg):
     return [t for t in _TOKEN.findall(text) if t not in stop]
 
 
-def _row_from_counts(counts, vocab, idf):
-    """One l1-normalized tf-idf row; returns (row, is_zero)."""
-    x = np.zeros(len(vocab))
-    for term, tf in counts.items():
-        j = vocab.index.get(term)
-        if j is not None:
-            x[j] = tf * idf[j]
-    s = x.sum()
-    if s > 0:
-        x /= s
-        return x, False
-    return x, True
+def _tfidf_rows(doc_counts, vocab, idf):
+    """l1-normalized tf-idf rows of many documents' term counts, built in
+    one pass; returns ``(X, zero_rows)``.
+
+    ``doc_counts`` is consumed once, so a generator keeps only one
+    document's counts alive.  Out-of-vocabulary terms are dropped; a
+    document with no known terms keeps an all-zero row and is listed in
+    ``zero_rows``.
+    """
+    docs, cols, tfs = [], [], []
+    n = 0
+    for counts in doc_counts:
+        for term, tf in counts.items():
+            j = vocab.index.get(term)
+            if j is not None:
+                docs.append(n)
+                cols.append(j)
+                tfs.append(tf)
+        n += 1
+    X = np.zeros((n, len(vocab)))
+    cols = np.asarray(cols, dtype=np.intp)
+    X[np.asarray(docs, dtype=np.intp), cols] = np.asarray(tfs, dtype=float) * idf[cols]
+    s = X.sum(axis=1)[:, None]
+    nonzero = s > 0
+    # In place: dividing through a fancy index would copy the whole matrix.
+    np.divide(X, s, out=X, where=nonzero)
+    return X, np.flatnonzero(~nonzero).tolist()
 
 
 def build_tfidf(corpus, cfg):
@@ -209,12 +225,7 @@ def build_tfidf(corpus, cfg):
         )
     vocab = Vocabulary.from_terms(kept)
     idf = np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in vocab.terms])
-    X = np.zeros((n, len(vocab)))
-    zero_rows = []
-    for i, counts in enumerate(doc_counts):
-        X[i], is_zero = _row_from_counts(counts, vocab, idf)
-        if is_zero:
-            zero_rows.append(i)
+    X, zero_rows = _tfidf_rows(doc_counts, vocab, idf)
     return DocumentTermMatrix(
         X=X,
         vocab=vocab,
@@ -224,8 +235,9 @@ def build_tfidf(corpus, cfg):
     )
 
 
-def vectorize_new(doc, vocab, cfg, idf):
-    """Vectorize one unseen document against a fitted vocabulary.
+def vectorize_many(docs, vocab, cfg, idf):
+    """Vectorize unseen documents against a fitted vocabulary: one
+    l1-normalized tf-idf row per document, built in one pass.
 
     Out-of-vocabulary tokens are dropped; a document with no known tokens
     maps to the zero vector.
@@ -233,9 +245,14 @@ def vectorize_new(doc, vocab, cfg, idf):
     idf = np.asarray(idf, dtype=float)
     if idf.shape[0] != len(vocab):
         raise ValueError(f"idf has {idf.shape[0]} entries for {len(vocab)} terms")
-    counts = Counter(tokenize(doc, cfg))
-    x, _ = _row_from_counts(counts, vocab, idf)
-    return x
+    X, _ = _tfidf_rows((Counter(tokenize(doc, cfg)) for doc in docs), vocab, idf)
+    return X
+
+
+def vectorize_new(doc, vocab, cfg, idf):
+    """Vectorize one unseen document: the one-document case of
+    :func:`vectorize_many`."""
+    return vectorize_many([doc], vocab, cfg, idf)[0]
 
 
 def interval_index(value, edges):

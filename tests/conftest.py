@@ -1,6 +1,16 @@
 import numpy as np
 
-from cssnmf.linalg import DUAL_TOL, ConvergenceError
+from cssnmf.linalg import DUAL_TOL, ConvergenceError, frob_sq
+from cssnmf.model import (
+    Factorization,
+    FitReport,
+    NumericFailure,
+    _check_shapes,
+    normalize,
+    update_h,
+    update_theta,
+    update_w,
+)
 
 
 def brute_force_nnls(A, b):
@@ -162,3 +172,113 @@ def load_matrix_csv_reference(path):
         except ValueError as err:
             raise ValueError(f"{path}: row {k} is not numeric: {err}") from None
     return np.asarray(data, dtype=float), header
+
+
+# Reference oracles: the fit loop that evaluated the full objective after
+# every block step, and the objective it called, kept verbatim (apart from
+# names).  cssnmf.model._fit_once must return the same factors and trace,
+# bit for bit.
+
+
+def objective_reference(fac, X, Y, lam):
+    """Evaluate ``(F, N, R)`` for a factorization.
+
+    ``N`` is the reconstruction error ``||X - W H||_F^2``, ``R`` the
+    regression error ``||[1|W] theta - Y||^2``, and ``F = N + lam * R``.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    _check_shapes(X, Y, fac.W, fac.H, fac.theta)
+    N = frob_sq(X - fac.W @ fac.H)
+    resid = fac.theta[0] + fac.W @ fac.theta[1:] - Y
+    R = float(resid @ resid)
+    return N + lam * R, N, R
+
+
+def fit_once_reference(X, Y, cfg, seed, restart_index):
+    """One run of the alternating loop from a fresh random initialization."""
+    n, m = X.shape
+    r = cfg.r
+    lam = cfg.lam
+    rng = np.random.default_rng(seed)
+    bound = float(X.max()) if X.size else 1.0
+    W = rng.uniform(0.0, bound, size=(n, r))
+    H = rng.uniform(0.0, bound, size=(r, m))
+    theta = rng.uniform(0.0, bound, size=r + 1)
+
+    F, N, R = objective_reference(Factorization(W, H, theta), X, Y, lam)
+    trace = [(0, F, N, R)]
+    err = np.inf
+    rel_err = np.inf
+    it = 0
+    while rel_err > cfg.tau and it < cfg.max_iter:
+        # At extreme lam the regression-augmented solve can overflow to
+        # inf/nan; such a trial objective compares False below and the step
+        # is rejected, so the IEEE warnings carry no information here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            W_new = update_w(X, Y, H, theta, lam, W)
+            F_new, N_new, R_new = objective_reference(Factorization(W_new, H, theta), X, Y, lam)
+        if F_new <= F:
+            W, F, N, R = W_new, F_new, N_new, R_new
+
+        H_new = update_h(X, W, H)
+        F_new, N_new, R_new = objective_reference(Factorization(W, H_new, theta), X, Y, lam)
+        if F_new <= F:
+            H, F, N, R = H_new, F_new, N_new, R_new
+
+        if lam > 0:
+            theta_new = update_theta(W, Y)
+            F_new, N_new, R_new = objective_reference(Factorization(W, H, theta_new), X, Y, lam)
+            if F_new <= F:
+                theta, F, N, R = theta_new, F_new, N_new, R_new
+
+        fac = normalize(Factorization(W, H, theta))
+        W, H, theta = fac.W, fac.H, fac.theta
+        F_norm, N, R = objective_reference(fac, X, Y, lam)
+        if abs(F_norm - F) > 1e-9 * (1.0 + abs(F)):
+            raise NumericFailure(
+                f"normalization changed the objective: {F!r} -> {F_norm!r}"
+            )
+        F = F_norm
+
+        err_temp = F
+        if err < np.inf:
+            rel_err = 0.0 if err == 0.0 else abs(err - err_temp) / err
+        err = err_temp
+        it += 1
+        trace.append((it, F, N, R))
+
+    if lam == 0:
+        # Regression is decoupled: fit theta once against the settled weights.
+        # The last trace row then describes the returned model; F = N is
+        # unchanged, only R moves off the random initial theta.
+        theta = update_theta(W, Y)
+        F, N, R = objective_reference(Factorization(W, H, theta), X, Y, lam)
+        trace[-1] = (it, F, N, R)
+
+    report = FitReport(
+        objective_trace=trace,
+        final_objective=trace[-1][1],
+        iterations_run=it,
+        converged=bool(rel_err <= cfg.tau),
+        restart_index=restart_index,
+    )
+    return Factorization(W, H, theta), report
+
+
+# Reference oracle: the one-document tf-idf row builder that
+# cssnmf.text._tfidf_rows replaced, kept verbatim (apart from its name).
+# Every row of build_tfidf and vectorize_many must equal its row, bit for bit.
+
+def row_from_counts_reference(counts, vocab, idf):
+    """One l1-normalized tf-idf row; returns (row, is_zero)."""
+    x = np.zeros(len(vocab))
+    for term, tf in counts.items():
+        j = vocab.index.get(term)
+        if j is not None:
+            x[j] = tf * idf[j]
+    s = x.sum()
+    if s > 0:
+        x /= s
+        return x, False
+    return x, True

@@ -546,3 +546,13 @@ def test_topics_requires_vocabulary(runner, tmp_path):
     _planted_model(model_path)
     res = runner.invoke(main, ["--out", str(tmp_path / "t"), "topics", str(model_path)])
     assert res.exit_code == 2
+
+
+def test_topics_rejects_vocabulary_of_wrong_length(runner, tmp_path):
+    model_path = tmp_path / "model.json"
+    _planted_model(model_path, vocab=["alpha", "beta", "gamma"])
+    res = runner.invoke(main, ["--out", str(tmp_path / "t"), "topics", str(model_path)])
+    assert res.exit_code == 3
+    assert ("model document is inconsistent: 3 vocabulary entries for 4 columns of H"
+            in res.stderr)
+    assert not (tmp_path / "t" / "topics.json").exists()

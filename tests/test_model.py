@@ -2,16 +2,17 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cssnmf.model
-from cssnmf.linalg import ConvergenceError
+from cssnmf.linalg import ConvergenceError, frob_sq
 from cssnmf.model import (
     EPS_H,
     Factorization,
     FitConfig,
     NumericFailure,
+    _recon_error,
     fit,
     load_model,
     normalize,
@@ -24,7 +25,7 @@ from cssnmf.model import (
     update_w,
 )
 from cssnmf.synthetic import SyntheticConfig, generate
-from conftest import brute_force_nnls
+from conftest import brute_force_nnls, fit_once_reference
 
 
 def random_factorization(rng, n, m, r):
@@ -76,6 +77,23 @@ def test_objective_matches_naive_summation():
     assert abs(N - N_ref) <= 1e-9 * (1 + N_ref)
     assert abs(R - R_ref) <= 1e-9 * (1 + R_ref)
     assert abs(F - (N_ref + lam * R_ref)) <= 1e-9 * (1 + F)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), m=st.integers(1, 40), r=st.integers(1, 8),
+       x_order=st.sampled_from("CF"), w_step=st.integers(1, 3), h_step=st.integers(1, 3),
+       density=st.sampled_from([1.0, 0.3, 0.03, 0.0]), seed=st.integers(0, 2**32 - 1))
+@example(n=1, m=1, r=1, x_order="C", w_step=1, h_step=1, density=1.0, seed=0)
+@example(n=1, m=1, r=1, x_order="F", w_step=3, h_step=2, density=0.0, seed=1)
+def test_recon_error_is_bit_equal_to_dense_residual(n, m, r, x_order, w_step, h_step,
+                                                    density, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 5.0, size=(n, m)) * (rng.uniform(size=(n, m)) < density)
+    X = np.asarray(X, order=x_order)
+    # Strided views: every w_step-th row and column of a larger array.
+    W = rng.uniform(0.0, 3.0, size=(n * w_step, r * w_step))[::w_step, ::w_step]
+    H = rng.uniform(0.0, 3.0, size=(r, m * h_step))[:, ::h_step]
+    assert _recon_error(X, W, H) == frob_sq(X - W @ H)
 
 
 def test_objective_shape_mismatch():
@@ -359,6 +377,104 @@ def test_fit_raises_numeric_failure_when_all_restarts_fail(monkeypatch):
     X = np.abs(np.random.default_rng(17).uniform(size=(5, 4)))
     with pytest.raises(NumericFailure):
         fit(X, np.zeros(5), FitConfig(r=2, lam=0.0, restarts=3))
+
+
+def text_like_matrix(n, m, seed):
+    """About 97 % zeros, nonzero rows l1-normalized, like a TF-IDF matrix."""
+    rng = np.random.default_rng(seed)
+    X = rng.exponential(size=(n, m)) * (rng.uniform(size=(n, m)) < 0.03)
+    s = X.sum(axis=1)
+    X[s > 0] /= s[s > 0, None]
+    return X, rng.uniform(1.0, 5.0, size=n)
+
+
+def reference_data(kind):
+    if kind == "text":
+        return text_like_matrix(60, 90, seed=21)
+    ds = generate(SyntheticConfig(n=40, m=24, r_true=4, M=10.0, eta_x=2.0, eta_y=2.0, seed=22))
+    X = np.asfortranarray(ds.X) if kind == "fortran" else ds.X
+    return X, ds.Y
+
+
+def assert_fits_equal(got, want):
+    (fac, report), (ref_fac, ref_report) = got, want
+    assert np.array_equal(fac.W, ref_fac.W)
+    assert np.array_equal(fac.H, ref_fac.H)
+    assert np.array_equal(fac.theta, ref_fac.theta)
+    assert report.objective_trace == ref_report.objective_trace
+    assert (report.iterations_run, report.converged, report.restart_index) == \
+        (ref_report.iterations_run, ref_report.converged, ref_report.restart_index)
+
+
+@pytest.mark.parametrize("kind", ["dense", "text", "fortran"])
+@pytest.mark.parametrize("r", [1, 4, 11])
+@pytest.mark.parametrize("lam", [0.0, 0.01, 1.0, 1e4])
+def test_fit_matches_reference_fit_loop(monkeypatch, kind, r, lam):
+    X, Y = reference_data(kind)
+    cfg = FitConfig(r=r, lam=lam, tau=1e-8, max_iter=25, seed=3, restarts=2)
+    got = fit(X, Y, cfg)
+    monkeypatch.setattr(cssnmf.model, "_fit_once", fit_once_reference)
+    assert_fits_equal(got, fit(X, Y, cfg))
+
+
+def exact_rank_two_data():
+    ds = generate(SyntheticConfig(n=20, m=10, r_true=2, M=5.0, eta_x=0.0, eta_y=0.0, seed=12))
+    return ds.X, ds.Y
+
+
+# Noise-free rank-2 data fitted to machine precision: near the exact fit,
+# rounding makes some block steps raise F by an ulp, and those are rejected.
+# (The acceptance sweep's lambda = 1e4 cell rejects no step.)
+REJECTING_FIT = FitConfig(r=2, lam=1.0, tau=1e-12, max_iter=300, seed=0, restarts=1)
+
+
+def test_fit_with_rejected_steps_matches_reference_fit_loop(monkeypatch):
+    X, Y = exact_rank_two_data()
+    got = fit(X, Y, REJECTING_FIT)
+    monkeypatch.setattr(cssnmf.model, "_fit_once", fit_once_reference)
+    assert_fits_equal(got, fit(X, Y, REJECTING_FIT))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1e4])
+def test_fit_counts_every_block_step(lam):
+    ds = generate(SyntheticConfig(n=25, m=12, r_true=3, M=10.0, eta_x=2.0, eta_y=2.0, seed=13))
+    _, report = fit(ds.X, ds.Y, FitConfig(r=3, lam=lam, tau=1e-6, max_iter=60, seed=2,
+                                          restarts=2))
+    assert set(report.block_steps) == {"W", "H", "theta"}
+    for block, (accepted, rejected) in report.block_steps.items():
+        expected = 0 if block == "theta" and lam == 0 else report.iterations_run
+        assert accepted + rejected == expected, block
+
+
+def test_fit_counts_rejected_steps_of_every_block(tmp_path):
+    X, Y = exact_rank_two_data()
+    fac, report = fit(X, Y, REJECTING_FIT)
+    for block, (accepted, rejected) in report.block_steps.items():
+        assert accepted + rejected == report.iterations_run
+        assert rejected >= 1, block
+    # The counts describe the run, not the model: the model file leaves them out.
+    save_model(tmp_path / "model.json", fac, REJECTING_FIT, report)
+    assert "block" not in (tmp_path / "model.json").read_text()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_fit_forms_three_dense_residuals_per_iteration(monkeypatch, lam):
+    calls = []
+    original = cssnmf.model._recon_error
+
+    def counting(X, W, H):
+        calls.append(X.shape)
+        return original(X, W, H)
+
+    monkeypatch.setattr(cssnmf.model, "_recon_error", counting)
+    ds = generate(SyntheticConfig(n=25, m=12, r_true=3, M=10.0, eta_x=2.0, eta_y=2.0, seed=13))
+    _, report = fit(ds.X, ds.Y, FitConfig(r=3, lam=lam, tau=1e-12, max_iter=7, seed=2,
+                                          restarts=1))
+    assert report.iterations_run == 7
+    # One for the initial objective; per iteration one each after the W and
+    # H steps and one for the normalization check; at lam = 0 one more for
+    # the final theta fit.
+    assert len(calls) == 1 + 3 * report.iterations_run + (lam == 0)
 
 
 # ------------------------------------------------------------------ predict

@@ -1,9 +1,11 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import row_from_counts_reference
 from cssnmf.text import (
     RatedCorpus,
     RatedDocument,
@@ -17,6 +19,7 @@ from cssnmf.text import (
     save_vectorizer,
     stopword_set,
     tokenize,
+    vectorize_many,
     vectorize_new,
 )
 
@@ -218,6 +221,46 @@ def test_vectorize_checks_idf_length():
     vocab = Vocabulary.from_terms(["apple", "banana"])
     with pytest.raises(ValueError):
         vectorize_new("apple", vocab, NO_STOP, np.ones(3))
+    with pytest.raises(ValueError):
+        vectorize_many(["apple"], vocab, NO_STOP, np.ones(3))
+
+
+def zipf_texts(rng, n, words):
+    """Documents of 0-40 Zipf-drawn words; some share no word with the rest."""
+    p = 1.0 / np.arange(1, len(words) + 1)
+    p /= p.sum()
+    texts = []
+    for _ in range(n):
+        k = int(rng.integers(0, 41))
+        texts.append(" ".join(words[j] for j in rng.choice(len(words), size=k, p=p)))
+    return texts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tfidf_rows_equal_per_document_reference(seed):
+    rng = np.random.default_rng(seed)
+    words = [f"w{j}x" for j in range(400)]
+    cfg = TfidfConfig(min_df=0.01, max_df=0.15, stopwords="english")
+    train = zipf_texts(rng, 300, words)
+    dtm = build_tfidf(corpus_of(train), cfg)
+    rows = [row_from_counts_reference(Counter(tokenize(t, cfg)), dtm.vocab, dtm.idf)
+            for t in train]
+    assert np.array_equal(dtm.X, np.array([x for x, _ in rows]))
+    assert dtm.zero_rows == [i for i, (_, is_zero) in enumerate(rows) if is_zero]
+    assert dtm.zero_rows  # the empty documents
+
+    held_out = zipf_texts(rng, 200, words) + ["", "zebra quokka"]
+    X = vectorize_many(held_out, dtm.vocab, cfg, dtm.idf)
+    expected = [row_from_counts_reference(Counter(tokenize(t, cfg)), dtm.vocab, dtm.idf)[0]
+                for t in held_out]
+    assert np.array_equal(X, np.array(expected))
+    assert np.array_equal(vectorize_new(held_out[0], dtm.vocab, cfg, dtm.idf), expected[0])
+
+
+def test_vectorize_many_of_no_documents():
+    vocab = Vocabulary.from_terms(["apple", "banana"])
+    X = vectorize_many([], vocab, NO_STOP, np.ones(2))
+    assert X.shape == (0, 2)
 
 
 # ------------------------------------------------------------------ balance
