@@ -150,7 +150,7 @@ def nnls_multi(AtA, AtB, max_iter=None, warm_passive=None):
     Raises
     ------
     ValueError
-        On incompatible shapes.
+        On non-finite input or incompatible shapes.
     ConvergenceError
         If any column exceeds the cap; ``column`` names the lowest such
         column and ``best`` holds its iterate when it stopped.
@@ -168,6 +168,12 @@ def nnls_multi(AtA, AtB, max_iter=None, warm_passive=None):
     X = np.zeros((k, q))
     passive = np.zeros((k, q), dtype=bool)
     tol = DUAL_TOL * (1.0 + np.max(np.abs(B), axis=1, initial=0.0))
+    # A NaN stalls the active-set loop for good; an inf runs it into the cap
+    # or to a wrong answer.  ``tol`` is non-finite exactly when its column
+    # of ``AtB`` holds a NaN or inf, so checking it and ``AtA`` costs
+    # O(q**2 + k).
+    if not (np.isfinite(AtA).all() and np.isfinite(tol).all()):
+        raise ValueError("AtA and AtB must be finite")
 
     if warm_passive is not None:
         warm = np.ascontiguousarray(np.asarray(warm_passive, dtype=bool).T)

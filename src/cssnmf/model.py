@@ -14,6 +14,12 @@ nonnegative solves -- all rows of ``W``, all columns of ``H``, all documents
 to encode -- is one call to the batched kernel
 :func:`cssnmf.linalg.nnls_multi`.
 
+Each block solve is warm-started from the support its previous solve ended
+on.  For ``W`` that is ``W > 0``: normalization scales its columns by
+positive factors and keeps the support.  For ``H`` it is the last accepted
+``H`` before normalization, whose entries above ``EPS_H`` are its support;
+rescaling would lift the entries floored at ``EPS_H`` above the floor.
+
 A block step is kept only if it does not raise ``F``.  To decide, the fit
 recomputes only the terms the block moves and reuses the stored other
 term: the ``W`` step recomputes ``N`` and ``R``, the ``H`` step ``N`` alone
@@ -93,7 +99,10 @@ class FitReport:
 
     ``block_steps`` maps each block (``"W"``, ``"H"``, ``"theta"``) to its
     ``(accepted, rejected)`` step counts; the ``theta`` block steps only
-    while ``lam > 0``.  The counts are not written to the model file.
+    while ``lam > 0``.  ``warm_starts`` maps ``"W"`` and ``"H"`` to
+    ``(kept, solved)``: of the rows of ``W`` (columns of ``H``) solved, how
+    many ended on the support of their warm start.  The counts are not
+    written to the model file.
     """
 
     objective_trace: list
@@ -103,6 +112,7 @@ class FitReport:
     restart_index: int
     warnings: list = field(default_factory=list)
     block_steps: dict = field(default_factory=dict)
+    warm_starts: dict = field(default_factory=dict)
 
 
 def _check_shapes(X, Y, W, H, theta):
@@ -165,6 +175,9 @@ def update_theta(W, Y):
 def update_h(X, W, H):
     """Columnwise nonnegative solve of ``min ||X_:,j - W h||^2``.
 
+    ``H`` only seeds the warm start: its entries above ``EPS_H`` form each
+    column's initial passive set.  The fit passes its last accepted,
+    unnormalized ``H``, whose floored entries are exactly ``EPS_H``.
     Entries of the result below ``EPS_H`` are raised to ``EPS_H``.
     """
     X = np.asarray(X, dtype=float)
@@ -250,10 +263,14 @@ def _fit_once(X, Y, cfg, seed, restart_index):
     W = rng.uniform(0.0, bound, size=(n, r))
     H = rng.uniform(0.0, bound, size=(r, m))
     theta = rng.uniform(0.0, bound, size=r + 1)
+    # The last accepted H before normalization: its floored entries are
+    # still exactly EPS_H, so update_h leaves them out of the warm start.
+    H_warm = H
 
     F, N, R = objective(Factorization(W, H, theta), X, Y, lam)
     trace = [(0, F, N, R)]
     steps = {"W": [0, 0], "H": [0, 0], "theta": [0, 0]}
+    warm = {"W": [0, 0], "H": [0, 0]}
 
     def accept(block, N_new, R_new):
         """Keep the stored terms of a step that does not raise ``F``."""
@@ -265,6 +282,11 @@ def _fit_once(X, Y, cfg, seed, restart_index):
         steps[block][0 if ok else 1] += 1
         return ok
 
+    def count_warm(block, warm_set, support, axis):
+        """Count the rows/columns whose solve ended on its warm set."""
+        warm[block][0] += int(np.count_nonzero((warm_set == support).all(axis=axis)))
+        warm[block][1] += support.shape[1 - axis]
+
     err = np.inf
     rel_err = np.inf
     it = 0
@@ -274,12 +296,14 @@ def _fit_once(X, Y, cfg, seed, restart_index):
         # step is rejected, so the IEEE warnings carry no information here.
         with np.errstate(over="ignore", invalid="ignore"):
             W_new = update_w(X, Y, H, theta, lam, W)
+            count_warm("W", W > 0, W_new > 0, axis=1)
             if accept("W", _recon_error(X, W_new, H), _regress_error(Y, W_new, theta)):
                 W = W_new
 
-        H_new = update_h(X, W, H)
+        H_new = update_h(X, W, H_warm)
+        count_warm("H", H_warm > EPS_H, H_new > EPS_H, axis=0)
         if accept("H", _recon_error(X, W, H_new), R):
-            H = H_new
+            H = H_warm = H_new
 
         if lam > 0:
             theta_new = update_theta(W, Y)
@@ -317,6 +341,7 @@ def _fit_once(X, Y, cfg, seed, restart_index):
         converged=bool(rel_err <= cfg.tau),
         restart_index=restart_index,
         block_steps={block: tuple(c) for block, c in steps.items()},
+        warm_starts={block: tuple(c) for block, c in warm.items()},
     )
     return Factorization(W, H, theta), report
 
@@ -326,6 +351,9 @@ def fit(X, Y, cfg):
 
     Restart ``k`` draws its initialization from seed ``cfg.seed + k``; the
     run with the lowest final objective wins (ties to the lowest index).
+    A restart fails when a block solve hits its iteration cap or its
+    iterates overflow (the solve then meets a non-finite cross product and
+    raises ``ValueError``); the other restarts still run.
 
     Returns
     -------
@@ -354,9 +382,11 @@ def fit(X, Y, cfg):
     best = None
     failures = []
     for k in range(cfg.restarts):
+        # X and Y were checked above, so a ValueError here means the
+        # restart's iterates overflowed.
         try:
             fac, report = _fit_once(X, Y, cfg, seed=cfg.seed + k, restart_index=k)
-        except (ConvergenceError, NumericFailure, np.linalg.LinAlgError) as err:
+        except (ConvergenceError, NumericFailure, ValueError, np.linalg.LinAlgError) as err:
             failures.append((k, err))
             continue
         if not np.isfinite(report.final_objective):
@@ -394,7 +424,8 @@ def predict_many(H, theta, X):
         raise ValueError(
             f"documents have shape {X.shape}, expected rows of length {H.shape[1]}"
         )
-    # A NaN in the Gram or right-hand side stalls the active-set solve.
+    # The kernel refuses a non-finite H too, but not a non-finite theta;
+    # both checks name the model as the bad input.
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(theta))):
         raise ValueError("model H/theta contain non-finite entries")
     if not np.all(np.isfinite(X)):

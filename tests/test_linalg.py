@@ -247,3 +247,19 @@ def test_nnls_multi_rejects_shape_mismatch():
         nnls_multi(np.eye(3), np.zeros((4, 2)))
     with pytest.raises(ValueError):
         nnls_multi(np.eye(3), np.zeros((3, 2)), warm_passive=np.ones((3, 3), dtype=bool))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["AtA", "AtB"])
+def test_nnls_multi_rejects_non_finite_input(where, bad):
+    # Unchecked, a NaN stalls the active-set loop, an inf in AtA runs it
+    # into the iteration cap and an inf in AtB gives a wrong answer.
+    AtA, AtB = np.eye(3), np.ones((3, 4))
+    if where == "AtA":
+        AtA[1, 1] = bad
+    else:
+        AtB[2, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        nnls_multi(AtA, AtB)
+    with pytest.raises(ValueError, match="finite"):
+        nnls_multi(AtA, AtB, warm_passive=np.ones((3, 4), dtype=bool))

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cssnmf.linalg
 import cssnmf.model
-from cssnmf.linalg import ConvergenceError, frob_sq
+from cssnmf.linalg import DUAL_TOL, ConvergenceError, frob_sq
 from cssnmf.model import (
     EPS_H,
     Factorization,
@@ -230,6 +235,24 @@ def test_update_h_propagates_column_index_on_failure(monkeypatch):
     assert "column 3" in str(exc.value)
 
 
+def test_update_h_rejects_nan_data_instead_of_hanging():
+    # A NaN reaching the active-set loop used to stall it for good, so run
+    # in a subprocess that a timeout can stop.
+    code = (
+        "import numpy as np\n"
+        "from cssnmf.model import update_h\n"
+        "try:\n"
+        "    update_h(np.array([[np.nan, 1.0]]), np.ones((1, 1)), np.ones((1, 2)))\n"
+        "except ValueError as err:\n"
+        "    print(err)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cssnmf.model.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "finite" in proc.stdout
+
+
 # ---------------------------------------------------------------- normalize
 
 def test_normalize_rescales_and_preserves_product():
@@ -444,6 +467,11 @@ def test_fit_counts_every_block_step(lam):
     for block, (accepted, rejected) in report.block_steps.items():
         expected = 0 if block == "theta" and lam == 0 else report.iterations_run
         assert accepted + rejected == expected, block
+    # Every iteration solves all n rows of W and all m columns of H.
+    assert set(report.warm_starts) == {"W", "H"}
+    for block, size in (("W", ds.X.shape[0]), ("H", ds.X.shape[1])):
+        kept, solved = report.warm_starts[block]
+        assert 0 <= kept <= solved == report.iterations_run * size, block
 
 
 def test_fit_counts_rejected_steps_of_every_block(tmp_path):
@@ -454,7 +482,8 @@ def test_fit_counts_rejected_steps_of_every_block(tmp_path):
         assert rejected >= 1, block
     # The counts describe the run, not the model: the model file leaves them out.
     save_model(tmp_path / "model.json", fac, REJECTING_FIT, report)
-    assert "block" not in (tmp_path / "model.json").read_text()
+    text = (tmp_path / "model.json").read_text()
+    assert "block" not in text and "warm" not in text
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
@@ -475,6 +504,92 @@ def test_fit_forms_three_dense_residuals_per_iteration(monkeypatch, lam):
     # H steps and one for the normalization check; at lam = 0 one more for
     # the final theta fit.
     assert len(calls) == 1 + 3 * report.iterations_run + (lam == 0)
+
+
+def spy_h_solves(monkeypatch, m):
+    """Record every H-step kernel call of a fit on ``m``-column data.
+
+    Returns a list that fills with ``(AtA, AtB, warm_passive, raw result)``
+    per H step (an H step solves ``m`` columns, a W step ``n``), and a dict
+    counting ``linalg._solve_one`` calls made during H steps after the first.
+    """
+    solves, singles = [], {"later_h": 0, "in_later_h": False}
+    kernel, solve_one = cssnmf.model.nnls_multi, cssnmf.linalg._solve_one
+
+    def spy(AtA, AtB, max_iter=None, warm_passive=None):
+        h_step = AtB.shape[1] == m
+        singles["in_later_h"] = h_step and len(solves) >= 1
+        try:
+            X = kernel(AtA, AtB, max_iter, warm_passive)
+        finally:
+            singles["in_later_h"] = False
+        if h_step:
+            solves.append((AtA, AtB, warm_passive, X.copy()))
+        return X
+
+    def counting_solve_one(M, v):
+        singles["later_h"] += singles["in_later_h"]
+        return solve_one(M, v)
+
+    monkeypatch.setattr(cssnmf.model, "nnls_multi", spy)
+    monkeypatch.setattr(cssnmf.linalg, "_solve_one", counting_solve_one)
+    return solves, singles
+
+
+def test_h_warm_start_is_the_last_accepted_support(monkeypatch):
+    # Planted rank 4 fitted at r = 11: most H entries end floored at EPS_H.
+    # Normalization lifts a floored entry of row k to EPS_H / s_k; the warm
+    # start must still leave it out.
+    ds = generate(SyntheticConfig(n=60, m=30, r_true=4, M=10.0, eta_x=2.0, eta_y=2.0, seed=1))
+    solves, singles = spy_h_solves(monkeypatch, ds.X.shape[1])
+    _, report = fit(ds.X, ds.Y, FitConfig(r=11, lam=0.0, tau=1e-8, max_iter=30, seed=2,
+                                          restarts=1))
+    assert report.block_steps["H"] == (30, 0)  # every H step is accepted
+    lifted = 0
+    for (_, _, _, prev), (_, _, warm, _) in zip(solves, solves[1:]):
+        H_prev = np.maximum(prev, EPS_H)  # the accepted H_new, floored
+        assert np.array_equal(warm, H_prev > EPS_H)
+        floored = H_prev == EPS_H
+        assert not np.any(warm & floored)
+        lifted += np.count_nonzero(floored & (H_prev / H_prev.sum(axis=1, keepdims=True) > EPS_H))
+    assert lifted > 0  # the normalized H would have put floored entries in
+    # Starting from the normalized H, this fit made 38 per-system fallback
+    # solves in its later H steps; warm sets that were a solve's own final
+    # support make none.
+    assert singles["later_h"] == 0
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_degenerate_fit_accepts_only_kkt_h_blocks(monkeypatch, lam):
+    # r = 11 on planted-rank-4 data: block problems with more than one
+    # passive set meeting the stopping test, where the warm start decides
+    # which one a solve returns.  Every H block solved, accepted or not,
+    # must be an NNLS solution for its W.
+    ds = generate(SyntheticConfig(n=100, m=40, r_true=4, seed=1))
+    solves, _ = spy_h_solves(monkeypatch, ds.X.shape[1])
+    _, report = fit(ds.X, ds.Y, FitConfig(r=11, lam=lam, max_iter=60, seed=1, restarts=2))
+    assert len(solves) == 2 * 60  # both restarts ran every iteration
+    for AtA, AtB, _, H in solves:
+        assert np.all(H >= 0)
+        for j in range(AtB.shape[1]):
+            h = np.ascontiguousarray(H[:, j])
+            grad = AtB[:, j] - AtA @ h
+            scale = 1.0 + np.max(np.abs(AtB[:, j]))
+            assert np.max(grad[h == 0], initial=-np.inf) <= DUAL_TOL * scale
+            assert np.max(np.abs(grad[h > 0]), initial=0.0) <= 1e-7 * scale
+    Fs = [row[1] for row in report.objective_trace]
+    assert all((after - before) / abs(before) <= 1e-12 for before, after in zip(Fs, Fs[1:]))
+
+
+def test_fit_skips_a_restart_whose_iterates_overflow():
+    # Restart 0 of this fit drives theta to overflow, so its W step meets
+    # an infinite Gram; the kernel refuses it and restart 1 wins.
+    ds = generate(SyntheticConfig(n=100, m=40, r_true=4, seed=4))
+    cfg = FitConfig(r=11, lam=100.0, max_iter=60, seed=4, restarts=2)
+    with pytest.raises(ValueError, match="finite"):
+        cssnmf.model._fit_once(ds.X, ds.Y, cfg, seed=4, restart_index=0)
+    fac, report = fit(ds.X, ds.Y, cfg)
+    assert report.restart_index == 1 and np.isfinite(report.final_objective)
 
 
 # ------------------------------------------------------------------ predict
