@@ -6,7 +6,10 @@ deliberately small and deterministic:
 * :func:`nnls_multi` -- batched Lawson--Hanson active-set nonnegative least
   squares on precomputed cross products, one column per problem.  It is
   the only NNLS code path: the factor updates, prediction and :func:`nnls`
-  all call it.
+  all call it.  Each round sorts its columns by passive-set size and makes
+  one stacked single-right-hand-side ``np.linalg.solve`` per size; a size
+  group that holds a singular system is split until that system is solved
+  alone, by ``solve`` and then ``lstsq``.
 * :func:`nnls` -- the one-problem case of :func:`nnls_multi`.
 * :func:`lstsq` -- SVD-backed least squares that degrades to the
   pseudo-inverse (minimum-norm solution) on rank-deficient systems.
@@ -16,7 +19,7 @@ import itertools
 
 import numpy as np
 
-__all__ = ["ConvergenceError", "nnls", "nnls_multi", "lstsq", "frob_sq"]
+__all__ = ["ConvergenceError", "nnls", "nnls_multi", "lstsq"]
 
 # Singular values below SVD_CUTOFF * s_max are treated as zero.
 SVD_CUTOFF = 1e-12
@@ -56,12 +59,6 @@ def _as_vector(b, name):
     return np.ascontiguousarray(b)
 
 
-def frob_sq(a):
-    """Sum of squared entries (squared Frobenius norm for matrices)."""
-    a = np.asarray(a, dtype=float)
-    return float(np.sum(a * a))
-
-
 def lstsq(A, b):
     """Minimum-norm least-squares solution of ``A x = b``.
 
@@ -96,28 +93,71 @@ def _solve_one(M, v):
         return z
 
 
-def _solve_passive(AtA, B, passive, cols):
+def _solve_stack(M, v):
+    """Solve each system ``M[i] z = v[i]`` of a stack, one right-hand side each.
+
+    A singular member makes the stacked ``solve`` raise for the whole stack.
+    Members with an all-zero column are then solved one by one and the rest
+    retried as one stack; if no member has such a column, the stack is
+    split into halves, each retried in turn.  Only a singular system itself
+    reaches :func:`_solve_one`, and each system is still solved on its own,
+    so the split changes no bits.
+    """
+    try:
+        return np.linalg.solve(M, v[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(M) == 1:
+            return _solve_one(M[0], v[0])[None]
+    # A Gram row and column of zeros (a dead factor) makes every system
+    # that holds its index singular, often a whole group; halving such a
+    # group would try about twice as many stacks as it has members.
+    Z = np.empty_like(v)
+    dead = ~M.any(axis=1).all(axis=1)
+    for i in np.flatnonzero(dead):
+        Z[i] = _solve_one(M[i], v[i])
+    rest = np.flatnonzero(~dead)
+    for part in [rest] if dead.any() else np.array_split(rest, 2):
+        if part.size:
+            Z[part] = _solve_stack(M[part], v[part])
+    return Z
+
+
+def _solve_passive(AtA, B, P, cols):
     """Solve the passive-set subsystems of columns ``cols``, grouped by size.
 
-    Yields ``(cols_s, idx, Z)`` per passive-set size ``s``: the columns of the
-    group, their passive indices (cnt, s) in increasing order, and the
-    solutions (cnt, s).  Each group is one stacked ``solve`` with a single
-    right-hand side per system, so every column gets the same rounding as a
-    solve of its own subsystem; a group holding a singular system falls back
-    to solving its members one by one.
+    ``P`` holds the passive sets of ``cols``, one row each.  The columns are
+    sorted by passive-set size (stably, so each size keeps the given order)
+    and each size is solved as one stack by :func:`_solve_stack`, so every
+    column gets the same rounding as a solve of its own subsystem.
+
+    Returns ``(c, idx, z)`` with one entry per passive index: its column,
+    the index, and its solution value.  Each column's entries are
+    contiguous and in increasing index order.
     """
-    sizes = passive[cols].sum(axis=1)
-    counts = np.bincount(sizes)
-    for s in counts.nonzero()[0]:
-        group = cols if counts[s] == cols.size else cols[sizes == s]
-        idx = passive[group].nonzero()[1].reshape(group.size, s)
-        M = AtA[idx[:, :, None], idx[:, None, :]]
-        v = B[group[:, None], idx]
-        try:
-            Z = np.linalg.solve(M, v[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            Z = np.array([_solve_one(Mi, vi) for Mi, vi in zip(M, v)])
-        yield group, idx, Z
+    sizes = P.sum(axis=1)
+    counts = np.bincount(sizes, minlength=1).tolist()
+    if counts[-1] != cols.size:
+        order = np.argsort(sizes, kind="stable")
+        cols, P = cols[order], P[order]
+    rows, idx = P.nonzero()
+    c = cols[rows]
+    v = B[c, idx]
+    z = np.empty_like(v)
+    e = 0
+    for s in range(1, len(counts)):
+        n = counts[s] * s
+        if n:
+            idx_s = idx[e:e + n].reshape(-1, s)
+            M = AtA[idx_s[:, :, None], idx_s[:, None, :]]
+            z[e:e + n] = _solve_stack(M, v[e:e + n].reshape(-1, s)).ravel()
+            e += n
+    return c, idx, z
+
+
+def _runs(c):
+    """Starts and lengths of the runs of equal neighbours in ``c``."""
+    starts = np.flatnonzero(np.diff(c, prepend=-1))
+    return starts, np.diff(starts, append=c.size)
 
 
 def nnls_multi(AtA, AtB, max_iter=None, warm_passive=None):
@@ -129,9 +169,23 @@ def nnls_multi(AtA, AtB, max_iter=None, warm_passive=None):
     sequence of a solve on its own: the most violated dual coordinate
     enters, infeasible steps stop at the first passive coordinate that hits
     zero, and a column is finished once its largest active dual entry is
-    ``<= DUAL_TOL * (1 + max|A'b_j|)``.  The passive-set subsystems are
-    solved in batches of equal size (the combinatorial grouping of FC-NNLS,
-    Van Benthem & Keenan, J. Chemometrics 2004).
+    ``<= DUAL_TOL * (1 + max|A'b_j|)``.
+
+    The passive-set subsystems are solved in batches of equal size (the
+    combinatorial grouping of FC-NNLS, Van Benthem & Keenan, J. Chemometrics
+    2004): each round sorts its columns by passive-set size and makes one
+    stacked ``np.linalg.solve`` per size, with a single right-hand side per
+    system.  If a group holds an exactly singular system, the stacked solve
+    raises; members with an all-zero column are then solved alone, and the
+    rest of the group is retried, split into halves while it still raises,
+    so that only a singular system is solved alone (``solve``, then
+    ``lstsq``).  Columns that share a round advance through it together:
+    each round's feasibility tests, steps and drops act on all of its
+    passive entries at once, one run of entries per column.
+
+    A warm-started call whose warm sets are all optimal -- the common case
+    inside a fit -- is one stacked solve per warm-set size, one dual check
+    over all columns, and no entering step.
 
     Parameters
     ----------
@@ -166,7 +220,6 @@ def nnls_multi(AtA, AtB, max_iter=None, warm_passive=None):
     # Column j's problem lives in row j: B[j] = A'b_j, X[j] = x_j.
     B = np.ascontiguousarray(AtB.T)
     X = np.zeros((k, q))
-    passive = np.zeros((k, q), dtype=bool)
     tol = DUAL_TOL * (1.0 + np.max(np.abs(B), axis=1, initial=0.0))
     # A NaN stalls the active-set loop for good; an inf runs it into the cap
     # or to a wrong answer.  ``tol`` is non-finite exactly when its column
@@ -175,28 +228,36 @@ def nnls_multi(AtA, AtB, max_iter=None, warm_passive=None):
     if not (np.isfinite(AtA).all() and np.isfinite(tol).all()):
         raise ValueError("AtA and AtB must be finite")
 
-    if warm_passive is not None:
-        warm = np.ascontiguousarray(np.asarray(warm_passive, dtype=bool).T)
-        if warm.shape != (k, q):
-            raise ValueError(f"warm_passive is {warm.T.shape}, expected {AtB.shape}")
-        for cols, idx, Z in _solve_passive(AtA, B, warm, np.flatnonzero(warm.any(axis=1))):
-            ok = np.isfinite(Z).all(axis=1) & (Z > 0.0).all(axis=1)
-            X[cols[ok, None], idx[ok]] = Z[ok]
-            passive[cols[ok]] = warm[cols[ok]]
+    if warm_passive is None:
+        passive = np.zeros((k, q), dtype=bool)
+    else:
+        passive = np.asarray(warm_passive, dtype=bool).T.copy()
+        if passive.shape != (k, q):
+            raise ValueError(f"warm_passive is {passive.T.shape}, expected {AtB.shape}")
+        c, idx, z = _solve_passive(AtA, B, passive, np.arange(k))
+        X[c, idx] = z
+        ok = (z > 0.0) & (z < np.inf)
+        if not ok.all():
+            # A warm set is kept only if all of its solution is finite and
+            # strictly positive; a rejected column starts from x = 0.
+            rejected = c[~ok]
+            X[rejected] = 0.0
+            passive[rejected] = False
 
     # Every column still running has made the same number of outer steps,
     # so one round counter serves as each column's own iteration count.
-    live = np.arange(k)
+    # The first dual check covers every column, so it reads the arrays whole.
+    live, P, B_live, X_live, tol_live = np.arange(k), passive, B, X, tol
     for outer in itertools.count(1):
         # One matrix-vector product per column, as a solve on its own makes;
         # a matrix-matrix product would round differently.
-        w = B[live] - np.matmul(AtA, X[live][:, :, None])[:, :, 0]
-        P = passive[live]
+        w = B_live - np.matmul(AtA, X_live[:, :, None])[:, :, 0]
         cand = np.where(P, -np.inf, w)
-        running = ~((cand.max(axis=1) <= tol[live]) | P.all(axis=1))
-        live, cand = live[running], cand[running]
-        if not live.size:
+        # A column with every index passive has ``cand.max() == -inf``.
+        running = ~(cand.max(axis=1) <= tol_live)
+        if not running.any():
             break
+        live, cand = live[running], cand[running]
         if outer > max_iter:
             j = int(live[0])
             raise ConvergenceError(
@@ -208,26 +269,32 @@ def nnls_multi(AtA, AtB, max_iter=None, warm_passive=None):
 
         inner = live
         while inner.size:
-            stepped = []
-            for cols, idx, Z in _solve_passive(AtA, B, passive, inner):
-                # Entries outside the passive set are zero throughout, so a
-                # feasible solution is written over the passive set alone.
-                feasible = (Z > 0.0).all(axis=1)
-                X[cols[feasible, None], idx[feasible]] = Z[feasible]
-                if feasible.all():
-                    continue
-                cols, idx, Z = cols[~feasible], idx[~feasible], Z[~feasible]
-                # Step toward z until the first passive coordinate hits zero.
-                xp = X[cols[:, None], idx]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = np.where(Z <= 0.0, xp / (xp - Z), np.inf)
-                ratio = np.where(np.isnan(ratio), 0.0, ratio)
-                alpha = ratio.min(axis=1, keepdims=True)
-                drop = (ratio <= alpha) & (Z <= 0.0)
-                X[cols[:, None], idx] = np.where(drop, 0.0, xp + alpha * (Z - xp))
-                passive[cols[:, None], idx] = ~drop
-                stepped.append(cols[~drop.all(axis=1)])
-            inner = np.concatenate(stepped) if stepped else live[:0]
+            c, idx, z = _solve_passive(AtA, B, passive[inner], inner)
+            # Entries outside the passive set are zero throughout, so a
+            # feasible solution is written over the passive set alone.
+            positive = z > 0.0
+            if positive.all():
+                X[c, idx] = z
+                break
+            # A column's entries form one run of ``c``: reduce each run with
+            # ``reduceat`` and repeat the result over its length.
+            starts, lengths = _runs(c)
+            feasible = np.repeat(np.logical_and.reduceat(positive, starts), lengths)
+            X[c[feasible], idx[feasible]] = z[feasible]
+            step = ~feasible
+            c, idx, z = c[step], idx[step], z[step]
+            starts, lengths = _runs(c)
+            # Step toward z until the first passive coordinate hits zero.
+            xp = X[c, idx]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(z <= 0.0, xp / (xp - z), np.inf)
+            ratio = np.where(np.isnan(ratio), 0.0, ratio)
+            alpha = np.repeat(np.minimum.reduceat(ratio, starts), lengths)
+            drop = (ratio <= alpha) & (z <= 0.0)
+            X[c, idx] = np.where(drop, 0.0, xp + alpha * (z - xp))
+            passive[c, idx] = ~drop
+            inner = c[starts][~np.logical_and.reduceat(drop, starts)]
+        P, B_live, X_live, tol_live = passive[live], B[live], X[live], tol[live]
     return np.ascontiguousarray(X.T)
 
 

@@ -131,8 +131,9 @@ def _check_shapes(X, Y, W, H, theta):
 def _recon_error(X, W, H):
     """``||X - W H||_F^2``, formed in the one n x m buffer of ``W @ H``.
 
-    Bit-equal to ``frob_sq(X - W @ H)``: the same elementwise operations and
-    the same summation over an array of the same layout.
+    Bit-equal to ``float(np.sum(R * R))`` with ``R = X - W @ H``: the same
+    elementwise operations and the same summation over an array of the same
+    layout.
     """
     E = W @ H
     np.subtract(X, E, out=E)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from cssnmf.linalg import DUAL_TOL, ConvergenceError, frob_sq
+from cssnmf.linalg import DUAL_TOL, ConvergenceError
 from cssnmf.model import (
     Factorization,
     FitReport,
@@ -11,6 +11,16 @@ from cssnmf.model import (
     update_theta,
     update_w,
 )
+
+
+# Reference oracle: the squared Frobenius norm that cssnmf.linalg exported
+# until the fit loop formed its residuals in one buffer, kept verbatim.
+# ``model._recon_error`` must match ``frob_sq(X - W @ H)`` bit for bit.
+
+def frob_sq(a):
+    """Sum of squared entries (squared Frobenius norm for matrices)."""
+    a = np.asarray(a, dtype=float)
+    return float(np.sum(a * a))
 
 
 def brute_force_nnls(A, b):

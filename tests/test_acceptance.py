@@ -175,6 +175,19 @@ def test_c06_test_mse_floor_and_overfit_regime(lambda_study):
                           f"lambda=0 value {at_zero:.2f}"), (best, at_zero, at_max)
 
 
+def test_c11_coupling_beats_two_stage_on_heldout(lambda_study):
+    # The paper's claim: fitting topics and regression jointly predicts
+    # held-out ratings better than regressing on topics found alone
+    # (lambda = 0 is that two-stage fit).
+    two_stage = next(c.test_mse for c in lambda_study if c.lam == 0.0)
+    coupled = {c.lam: c.test_mse for c in lambda_study if c.lam > 0}
+    best_lam = min(coupled, key=coupled.get)
+    ok = coupled[best_lam] < two_stage
+    assert verdict(ok, 11, f"best coupled held-out MSE {coupled[best_lam]:.2f} "
+                           f"(lambda={best_lam:g}) is below the two-stage "
+                           f"lambda=0 value {two_stage:.2f}"), coupled
+
+
 # ------------------------------------------------------------ normalization
 
 def test_c07_normalization_preserves_objective():

@@ -3,22 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cssnmf.linalg import DUAL_TOL, ConvergenceError, frob_sq, lstsq, nnls, nnls_multi
+import cssnmf.linalg
+from cssnmf.linalg import DUAL_TOL, ConvergenceError, lstsq, nnls, nnls_multi
 from conftest import _nnls_normal, brute_force_nnls
-
-
-def test_frob_sq_matches_double_loop():
-    rng = np.random.default_rng(0)
-    A = rng.normal(size=(7, 5))
-    total = 0.0
-    for i in range(7):
-        for j in range(5):
-            total += A[i, j] * A[i, j]
-    assert abs(frob_sq(A) - total) <= 1e-12 * (1 + total)
-
-
-def test_frob_sq_zero():
-    assert frob_sq(np.zeros((3, 4))) == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.array([1.0, np.nan]), np.array([1.0, np.inf])])
@@ -263,3 +250,107 @@ def test_nnls_multi_rejects_non_finite_input(where, bad):
         nnls_multi(AtA, AtB)
     with pytest.raises(ValueError, match="finite"):
         nnls_multi(AtA, AtB, warm_passive=np.ones((3, 4), dtype=bool))
+
+
+@pytest.mark.parametrize("singular", ["dependent_columns", "zero_column", "dead_group"])
+def test_nnls_multi_solves_only_the_singular_systems_of_a_group_alone(singular, monkeypatch):
+    # 40 warm sets of size 2 form one stacked solve; column 17's subsystem
+    # alone is exactly singular (every one in "dead_group").  Splitting the
+    # group must leave every other system in a stacked solve, so the
+    # per-system fallback runs once per singular system (without the split
+    # it ran once per member of the group, 40 times).
+    rng = np.random.default_rng(71)
+    H = rng.uniform(0.5, 1.5, size=(4, 8))
+    AtA = H @ H.T
+    warm = np.zeros((4, 40), dtype=bool)
+    warm[[0, 1]] = True
+    x_true = np.zeros((4, 40))
+    x_true[[0, 1]] = rng.uniform(0.5, 1.5, size=(2, 40))
+    if singular == "dependent_columns":
+        # Columns 2 and 3 of AtA are equal, so {2, 3} is singular but no
+        # column of its subsystem is zero; its solution is still positive.
+        AtA[:, 3] = AtA[:, 2]
+        AtA[3, :] = AtA[2, :]
+        warm[:, 17] = [False, False, True, True]
+        x_true[:, 17] = [0.0, 0.0, 1.0, 1.0]
+    else:
+        # Row and column 3 of AtA are zero (a dead factor); a warm set that
+        # holds index 3 is rejected and its column solved from a cold start.
+        AtA[:, 3] = 0.0
+        AtA[3, :] = 0.0
+        if singular == "zero_column":
+            warm[:, 17] = [False, True, False, True]
+        else:
+            warm[[0, 3]] = [[False], [True]]
+    AtB = AtA @ x_true
+    ref, failed = _reference_columns(AtA, AtB, warm, None)
+    assert not failed
+
+    singles, stacks = [], []
+    solve_one, solve = cssnmf.linalg._solve_one, np.linalg.solve
+
+    def counting_solve_one(M, v):
+        singles.append(M.shape)
+        return solve_one(M, v)
+
+    def counting_solve(M, v):
+        if M.ndim == 3:
+            stacks.append(len(M))
+        return solve(M, v)
+
+    monkeypatch.setattr(cssnmf.linalg, "_solve_one", counting_solve_one)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    result = nnls_multi(AtA, AtB, warm_passive=warm)
+    assert np.array_equal(result, ref)
+    if singular == "dead_group":
+        # Every system holds the dead index: each is solved alone at once,
+        # with no halving (the later stacks are the cold starts' rounds).
+        assert singles == [(2, 2)] * 40 and set(stacks) == {40}
+    else:
+        assert singles == [(2, 2)]
+        if singular == "zero_column":
+            # The member with a zero column leaves; the rest go back whole.
+            assert stacks[:2] == [40, 39]
+
+
+def test_nnls_multi_warm_start_at_the_optimum_is_one_solve_per_size(monkeypatch):
+    # Re-solving a block from the support it returned: every warm set is
+    # optimal, so the call is one stacked solve per warm-set size, no
+    # entering step and no inner round, and its result is the same bits.
+    rng = np.random.default_rng(81)
+    H = rng.uniform(size=(6, 10))
+    B = rng.normal(size=(10, 50))
+    B[:, :3] = -rng.uniform(size=(10, 3))  # some columns solve to x = 0
+    AtA, AtB = H @ H.T, H @ B
+    first = nnls_multi(AtA, AtB)
+    sizes = (first > 0).sum(axis=0)
+    assert len(set(sizes[sizes > 0].tolist())) >= 3 and (sizes == 0).any()
+
+    shapes = []
+    solve = np.linalg.solve
+
+    def counting_solve(M, v):
+        shapes.append(M.shape)
+        return solve(M, v)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    again = nnls_multi(AtA, AtB, warm_passive=first > 0)
+    assert np.array_equal(again, first)
+    counts = np.bincount(sizes)
+    assert sorted(shapes, key=lambda shape: shape[1]) == [
+        (counts[s], s, s) for s in np.flatnonzero(counts) if s]
+
+
+def test_nnls_multi_rejects_a_warm_set_whose_solution_overflows():
+    # Finite input, but the warm set {1} solves to +inf: the warm set must
+    # be rejected, as in the per-column reference, which then runs into the
+    # cap; kept, the infinite iterate would be returned as the answer.
+    AtA = np.array([[0.5, 1e-160], [1e-160, 1e-320]])
+    AtB = np.array([[3e219], [3e219]])
+    warm = np.array([[False], [True]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, failed = _reference_columns(AtA, AtB, warm, None)
+        with pytest.raises(ConvergenceError) as exc:
+            nnls_multi(AtA, AtB, warm_passive=warm)
+    assert list(failed) == [0] and exc.value.column == 0
+    assert np.array_equal(exc.value.best, failed[0])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import cssnmf.linalg
 import cssnmf.model
-from cssnmf.linalg import DUAL_TOL, ConvergenceError, frob_sq
+from cssnmf.linalg import DUAL_TOL, ConvergenceError
 from cssnmf.model import (
     EPS_H,
     Factorization,
@@ -30,7 +30,7 @@ from cssnmf.model import (
     update_w,
 )
 from cssnmf.synthetic import SyntheticConfig, generate
-from conftest import brute_force_nnls, fit_once_reference
+from conftest import brute_force_nnls, fit_once_reference, frob_sq
 
 
 def random_factorization(rng, n, m, r):
