@@ -28,6 +28,7 @@ from .text import (
     balance,
     build_tfidf,
     interval_index,
+    is_corpus_file,
     load_corpus,
     load_vectorizer,
     save_vectorizer,
@@ -259,21 +260,14 @@ def sweep(obj, x_path, y_path, r_list, lambdas, restarts, train_frac,
         click.echo(str(out / "sweep_figure.csv"))
 
 
-def _looks_like_corpus(path):
-    if str(path).endswith((".jsonl", ".ndjson")):
-        return True
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n").rstrip("\r")
-    return {"id", "text"} <= set(first.split(","))
-
-
 @main.command(name="predict")
 @click.argument("model_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.argument("docs_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--input-format", "fmt", type=click.Choice(["auto", "matrix", "text"]),
               default="auto", show_default=True,
               help="'text' expects a corpus file; 'matrix' a numeric CSV with one "
-                   "document row per line; 'auto' sniffs the header.")
+                   "document row per line; 'auto' reads a corpus when the header names "
+                   "id and text and the first record is not all numbers.")
 @click.option("--ratings", "ratings_path",
               type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None,
               help="Single-column CSV of true ratings (matrix input only).")
@@ -286,7 +280,7 @@ def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
     are available."""
     model = load_model(model_path)
     if fmt == "auto":
-        fmt = "text" if _looks_like_corpus(docs_path) else "matrix"
+        fmt = "text" if is_corpus_file(docs_path) else "matrix"
     if fmt == "text":
         if model.vocabulary is None:
             raise click.UsageError(

@@ -7,8 +7,8 @@ deliberately small and deterministic:
   squares on precomputed cross products, one column per problem.  It is
   the only NNLS code path: the factor updates, prediction and :func:`nnls`
   all call it.  Each round sorts its columns by passive-set size and makes
-  one stacked single-right-hand-side ``np.linalg.solve`` per size; a size
-  group that holds a singular system is split until that system is solved
+  one stacked single-right-hand-side ``np.linalg.solve`` per size; if a
+  size group holds a singular system, each member of that group is solved
   alone, by ``solve`` and then ``lstsq``.
 * :func:`nnls` -- the one-problem case of :func:`nnls_multi`.
 * :func:`lstsq` -- SVD-backed least squares that degrades to the
@@ -28,7 +28,7 @@ DUAL_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
-    """Active-set iteration cap exceeded.
+    """Active-set iteration cap exceeded, or a passive-set solve overflowed.
 
     Carries the best iterate reached so far in ``best``; when raised from a
     matrix update, ``row`` or ``column`` identifies the failing subproblem.
@@ -96,30 +96,14 @@ def _solve_one(M, v):
 def _solve_stack(M, v):
     """Solve each system ``M[i] z = v[i]`` of a stack, one right-hand side each.
 
-    A singular member makes the stacked ``solve`` raise for the whole stack.
-    Members with an all-zero column are then solved one by one and the rest
-    retried as one stack; if no member has such a column, the stack is
-    split into halves, each retried in turn.  Only a singular system itself
-    reaches :func:`_solve_one`, and each system is still solved on its own,
-    so the split changes no bits.
+    A singular member makes the stacked ``solve`` raise for the whole stack;
+    every member is then solved on its own by :func:`_solve_one`.  Either
+    way each system is solved alone, so the fallback changes no bits.
     """
     try:
         return np.linalg.solve(M, v[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        if len(M) == 1:
-            return _solve_one(M[0], v[0])[None]
-    # A Gram row and column of zeros (a dead factor) makes every system
-    # that holds its index singular, often a whole group; halving such a
-    # group would try about twice as many stacks as it has members.
-    Z = np.empty_like(v)
-    dead = ~M.any(axis=1).all(axis=1)
-    for i in np.flatnonzero(dead):
-        Z[i] = _solve_one(M[i], v[i])
-    rest = np.flatnonzero(~dead)
-    for part in [rest] if dead.any() else np.array_split(rest, 2):
-        if part.size:
-            Z[part] = _solve_stack(M[part], v[part])
-    return Z
+        return np.array([_solve_one(Mi, vi) for Mi, vi in zip(M, v)])
 
 
 def _solve_passive(AtA, B, P, cols):
@@ -176,9 +160,7 @@ def nnls_multi(AtA, AtB, max_iter=None, warm_passive=None):
     2004): each round sorts its columns by passive-set size and makes one
     stacked ``np.linalg.solve`` per size, with a single right-hand side per
     system.  If a group holds an exactly singular system, the stacked solve
-    raises; members with an all-zero column are then solved alone, and the
-    rest of the group is retried, split into halves while it still raises,
-    so that only a singular system is solved alone (``solve``, then
+    raises and every member of the group is solved alone (``solve``, then
     ``lstsq``).  Columns that share a round advance through it together:
     each round's feasibility tests, steps and drops act on all of its
     passive entries at once, one run of entries per column.
@@ -206,8 +188,10 @@ def nnls_multi(AtA, AtB, max_iter=None, warm_passive=None):
     ValueError
         On non-finite input or incompatible shapes.
     ConvergenceError
-        If any column exceeds the cap; ``column`` names the lowest such
-        column and ``best`` holds its iterate when it stopped.
+        If any column exceeds the cap, or a passive-set solve of any column
+        is not finite (finite input can still overflow there); ``column``
+        names the lowest such column and ``best`` holds its iterate when it
+        stopped.
     """
     AtA = np.asarray(AtA, dtype=float)
     AtB = np.asarray(AtB, dtype=float)
@@ -270,6 +254,14 @@ def nnls_multi(AtA, AtB, max_iter=None, warm_passive=None):
         inner = live
         while inner.size:
             c, idx, z = _solve_passive(AtA, B, passive[inner], inner)
+            finite = np.isfinite(z)
+            if not finite.all():
+                # An overflowed solve would meet ``0 * inf`` in the next
+                # dual check and loop for good.
+                j = int(c[~finite].min())
+                raise ConvergenceError(
+                    f"passive-set solve overflowed in column {j}", best=X[j].copy(), column=j,
+                )
             # Entries outside the passive set are zero throughout, so a
             # feasible solution is written over the passive set alone.
             positive = z > 0.0

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io import format_float
-from .linalg import ConvergenceError
 from .model import FitConfig, NumericFailure, _regress_error, fit, predict_many
 from .synthetic import split_arrays
 
@@ -103,7 +102,7 @@ def _run_cell(X_tr, Y_tr, X_te, Y_te, r, lam, spec):
     )
     try:
         fac, report = fit(X_tr, Y_tr, cfg)
-    except (NumericFailure, ConvergenceError) as err:
+    except NumericFailure as err:
         return SweepCell(
             r=r, lam=lam, train_mse=np.nan, test_mse=np.nan, final_F=np.nan,
             best_restart=-1, iterations=0, status=f"failed: {err}",

@@ -20,6 +20,8 @@ from importlib import resources
 
 import numpy as np
 
+from .io import _is_numeric_row
+
 __all__ = [
     "RatedDocument",
     "RatedCorpus",
@@ -34,6 +36,7 @@ __all__ = [
     "vectorize_many",
     "interval_index",
     "load_corpus",
+    "is_corpus_file",
     "save_vectorizer",
     "load_vectorizer",
 ]
@@ -298,13 +301,17 @@ def balance(corpus, edges, seed):
     return RatedCorpus(entries=entries, rating_range=corpus.rating_range)
 
 
+# Corpus files with these suffixes are JSON-lines; any other is CSV.
+JSONL_SUFFIXES = (".jsonl", ".ndjson")
+
+
 def load_corpus(path, rating_range=(1.0, 5.0), require_rating=True):
     """Read a corpus from CSV (columns id, text, rating) or JSON-lines
     (objects with the same fields).  The rating field may be absent when
     ``require_rating`` is false."""
     path = str(path)
     entries = []
-    if path.endswith((".jsonl", ".ndjson")):
+    if path.endswith(JSONL_SUFFIXES):
         with open(path, "r", encoding="utf-8") as fh:
             for k, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -328,6 +335,23 @@ def load_corpus(path, rating_range=(1.0, 5.0), require_rating=True):
     if not entries:
         raise ValueError(f"{path}: corpus is empty")
     return RatedCorpus(entries=entries, rating_range=rating_range)
+
+
+def is_corpus_file(path):
+    """Whether ``path`` holds a corpus rather than a numeric matrix.
+
+    A JSON-lines file is a corpus.  A CSV file is one if its header names
+    the ``id`` and ``text`` columns and its first data record is not all
+    numbers: an ingested ``X.csv`` whose vocabulary holds the terms ``id``
+    and ``text`` has such a header, but numeric records.
+    """
+    if str(path).endswith(JSONL_SUFFIXES):
+        return True
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        first = next(reader, [])
+    return {"id", "text"} <= set(header) and not _is_numeric_row(first)
 
 
 def _entry_from_record(rec, path, lineno, require_rating):

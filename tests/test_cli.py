@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -410,6 +411,40 @@ def test_predict_non_finite_model_exits_3_instead_of_hanging(tmp_path):
     assert "non-finite" in proc.stderr
 
 
+def _predict_rows(runner, out, model_path, docs_path, *options):
+    res = runner.invoke(main, [str(a) for a in ["--out", out, "predict", model_path, docs_path,
+                                                *options]])
+    rows = None
+    if res.exit_code == 0:
+        rows = list(csv.DictReader((Path(out) / "predictions.csv").open()))
+    return res, rows
+
+
+def test_predict_detects_matrix_with_id_and_text_terms_and_quoted_corpus(runner, tmp_path):
+    # Neither "id" nor "text" is a stopword, so an ingested X.csv can carry
+    # both in its header; its numeric records make it a matrix all the same.
+    # A corpus whose header is quoted is still a corpus.
+    model_path = tmp_path / "model.json"
+    _planted_model(model_path, vocab=["id", "text", "gamma", "delta"], idf=[1.0] * 4,
+                   tfidf={"min_df": 0.0, "max_df": 1.0, "stopwords": "none",
+                          "lowercase": True, "norm": "l1"})
+    X_path = tmp_path / "X.csv"
+    save_matrix_csv(X_path, np.array([[0.7, 0.3, 0.0, 0.0], [0.0, 0.0, 0.4, 0.6]]),
+                    header=["id", "text", "gamma", "delta"])
+    _, auto = _predict_rows(runner, tmp_path / "a", model_path, X_path)
+    _, matrix = _predict_rows(runner, tmp_path / "m", model_path, X_path,
+                              "--input-format", "matrix")
+    assert auto == matrix and [r["id"] for r in auto] == ["0", "1"]
+    assert [float(r["y_hat"]) for r in auto] == [3.5, 1.5]
+
+    corpus = tmp_path / "quoted.csv"
+    corpus.write_text('"id","text","rating"\n"a","id id text","4"\n"b","delta gamma","2"\n')
+    _, auto = _predict_rows(runner, tmp_path / "qa", model_path, corpus)
+    _, text = _predict_rows(runner, tmp_path / "qt", model_path, corpus,
+                            "--input-format", "text")
+    assert auto == text and [r["id"] for r in auto] == ["a", "b"]
+
+
 # ----------------------------------------------------- text path end to end
 
 def test_text_workflow_ingest_fit_predict_topics(runner, tmp_path):
@@ -448,6 +483,18 @@ def test_text_workflow_ingest_fit_predict_topics(runner, tmp_path):
     assert [r["y_hat"] for r in text_rows] == [r["y_hat"] for r in mat_rows]
     assert (p_text / "groups.csv").exists()  # corpus ratings travel inline
 
+    # An explicit --input-format gives what auto-detection chose.
+    model_path = fit_dir / "model.json"
+    _, rows = _predict_rows(runner, tmp_path / "ft", model_path, corpus_path,
+                            "--input-format", "text")
+    assert rows == text_rows
+    _, rows = _predict_rows(runner, tmp_path / "fm", model_path, ing / "X.csv",
+                            "--input-format", "matrix", "--ratings", ing / "Y.csv")
+    assert rows == mat_rows
+    res, _ = _predict_rows(runner, tmp_path / "fx", model_path, ing / "X.csv",
+                           "--input-format", "text")
+    assert res.exit_code == 3 and "missing columns ['id', 'text']" in res.stderr
+
     top = tmp_path / "top"
     res = invoke(runner, ["--out", top, "topics", fit_dir / "model.json", "--top-k", 5])
     assert res.exit_code == 0
@@ -457,6 +504,47 @@ def test_text_workflow_ingest_fit_predict_topics(runner, tmp_path):
     assert all(len(t["terms"]) == 5 for t in report["topics"])
     text_render = (top / "topics.txt").read_text()
     assert "intercept:" in text_render and "theta=" in text_render
+
+
+def _planted_topic_corpus(path, seed):
+    # 3 topics of 15 pseudo-words each and 30 background words, none a
+    # stopword.  Each document draws 20 tokens from one topic and 5 from the
+    # background; its rating rises with its topic.
+    rng = np.random.default_rng(seed)
+    topics = [[f"topic{t}word{j}" for j in range(15)] for t in range(3)]
+    background = [f"filler{j}" for j in range(30)]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "text", "rating"])
+        for i in range(300):
+            t = int(rng.integers(3))
+            words = list(rng.choice(topics[t], 20)) + list(rng.choice(background, 5))
+            rng.shuffle(words)
+            w.writerow([f"d{i}", " ".join(words), f"{1.5 + 1.5 * t + rng.uniform(-0.4, 0.4):.3f}"])
+    return topics
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_text_pipeline_recovers_planted_topics(runner, tmp_path, seed):
+    planted = _planted_topic_corpus(tmp_path / "corpus.csv", seed)
+    res = invoke(runner, ["--seed", seed, "--out", tmp_path / "ing", "ingest",
+                          tmp_path / "corpus.csv", "--max-df", 0.5])
+    assert res.exit_code == 0
+    ing = tmp_path / "ing"
+    res = invoke(runner, ["--seed", seed, "--out", tmp_path / "fit", "fit", ing / "X.csv",
+                          ing / "Y.csv", "--r", 3, "--lam", 0.01, "--restarts", 3,
+                          "--max-iter", 100, "--vectorizer", ing / "vectorizer.json"])
+    assert res.exit_code == 0
+    res = invoke(runner, ["--out", tmp_path / "top", "topics", tmp_path / "fit" / "model.json"])
+    assert res.exit_code == 0
+    report = json.loads((tmp_path / "top" / "topics.json").read_text())
+    top = [{tw["term"] for tw in entry["terms"]} for entry in report["topics"]]
+    assert all(len(terms) == 10 for terms in top)
+    # Match fitted to planted topics by the permutation with most overlap.
+    best = max(itertools.permutations(range(3)),
+               key=lambda perm: sum(len(top[k] & set(planted[t])) for k, t in enumerate(perm)))
+    for k, t in enumerate(best):
+        assert top[k] <= set(planted[t])
 
 
 def test_ingest_flags_zero_rows(runner, tmp_path):

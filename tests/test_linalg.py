@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,10 +260,9 @@ def test_nnls_multi_rejects_non_finite_input(where, bad):
 @pytest.mark.parametrize("singular", ["dependent_columns", "zero_column", "dead_group"])
 def test_nnls_multi_solves_only_the_singular_systems_of_a_group_alone(singular, monkeypatch):
     # 40 warm sets of size 2 form one stacked solve; column 17's subsystem
-    # alone is exactly singular (every one in "dead_group").  Splitting the
-    # group must leave every other system in a stacked solve, so the
-    # per-system fallback runs once per singular system (without the split
-    # it ran once per member of the group, 40 times).
+    # alone is exactly singular (every one in "dead_group").  The stacked
+    # solve raises, and then each member of the group is solved on its own,
+    # once, with no part of the group retried as a stack.
     rng = np.random.default_rng(71)
     H = rng.uniform(0.5, 1.5, size=(4, 8))
     AtA = H @ H.T
@@ -302,15 +306,10 @@ def test_nnls_multi_solves_only_the_singular_systems_of_a_group_alone(singular, 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     result = nnls_multi(AtA, AtB, warm_passive=warm)
     assert np.array_equal(result, ref)
-    if singular == "dead_group":
-        # Every system holds the dead index: each is solved alone at once,
-        # with no halving (the later stacks are the cold starts' rounds).
-        assert singles == [(2, 2)] * 40 and set(stacks) == {40}
-    else:
-        assert singles == [(2, 2)]
-        if singular == "zero_column":
-            # The member with a zero column leaves; the rest go back whole.
-            assert stacks[:2] == [40, 39]
+    assert singles == [(2, 2)] * 40
+    # Any stack after the first belongs to the rejected columns' cold starts.
+    assert stacks == {"dependent_columns": [40], "zero_column": [40, 1, 1],
+                      "dead_group": [40, 40, 40]}[singular]
 
 
 def test_nnls_multi_warm_start_at_the_optimum_is_one_solve_per_size(monkeypatch):
@@ -354,3 +353,25 @@ def test_nnls_multi_rejects_a_warm_set_whose_solution_overflows():
             nnls_multi(AtA, AtB, warm_passive=warm)
     assert list(failed) == [0] and exc.value.column == 0
     assert np.array_equal(exc.value.best, failed[0])
+
+
+@pytest.mark.parametrize("warm", [None, [[False], [True]]])
+def test_nnls_multi_raises_when_a_passive_solve_overflows(warm):
+    # Finite input, but the passive set {1} solves to 3e219 / 1e-320 = inf;
+    # the next dual check would meet 0 * inf = NaN and loop for good (so
+    # does the per-column reference, so it is no oracle here).  Run in a
+    # subprocess that a timeout can stop.
+    code = (
+        "import numpy as np\n"
+        "from cssnmf.linalg import ConvergenceError, nnls_multi\n"
+        "try:\n"
+        "    nnls_multi([[0.5, 0.0], [0.0, 1e-320]], [[1e219], [3e219]],\n"
+        f"               warm_passive={warm!r})\n"
+        "except ConvergenceError as err:\n"
+        "    print(err.column, err.best.tolist())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cssnmf.linalg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "0 [0.0, 0.0]"
