@@ -12,6 +12,7 @@ import csv
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -194,7 +195,7 @@ def fit_cmd(obj, x_path, y_path, r, lam, tau, max_iter, restarts, vectorizer):
         out / "model.json", fac, cfg, report,
         vocabulary=None if vocab is None else list(vocab.terms),
         idf=idf,
-        tfidf=None if tf_cfg is None else tf_cfg.as_dict(),
+        tfidf=None if tf_cfg is None else asdict(tf_cfg),
     )
     with open(out / "objective_trace.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("iter,F,N,R\n")

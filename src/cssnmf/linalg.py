@@ -120,6 +120,7 @@ def _solve_passive(AtA, B, P, cols):
     """
     sizes = P.sum(axis=1)
     counts = np.bincount(sizes, minlength=1).tolist()
+    # Columns of one size, as in a cold start's first round, need no sort.
     if counts[-1] != cols.size:
         order = np.argsort(sizes, kind="stable")
         cols, P = cols[order], P[order]
@@ -265,6 +266,7 @@ def nnls_multi(AtA, AtB, max_iter=None, warm_passive=None):
             # Entries outside the passive set are zero throughout, so a
             # feasible solution is written over the passive set alone.
             positive = z > 0.0
+            # The common path: every solution is feasible.
             if positive.all():
                 X[c, idx] = z
                 break

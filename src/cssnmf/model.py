@@ -29,7 +29,7 @@ the same code on the same arrays, so it equals a recomputation bit for bit.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -292,9 +292,11 @@ def _fit_once(X, Y, cfg, seed, restart_index):
     rel_err = np.inf
     it = 0
     while rel_err > cfg.tau and it < cfg.max_iter:
-        # At extreme lam the regression-augmented solve can overflow to
-        # inf/nan; such a trial objective compares False in accept and the
-        # step is rejected, so the IEEE warnings carry no information here.
+        # At extreme lam the augmented system can overflow.  A non-finite
+        # Gram or cross product makes nnls_multi raise ValueError, which
+        # fails the restart; a finite W_new whose trial residual overflows
+        # compares False in accept and is rejected.  Either way the IEEE
+        # warnings carry no information here.
         with np.errstate(over="ignore", invalid="ignore"):
             W_new = update_w(X, Y, H, theta, lam, W)
             count_warm("W", W > 0, W_new > 0, axis=1)
@@ -492,14 +494,8 @@ def save_model(path, fac, cfg, report, vocabulary=None, idf=None, tfidf=None):
         doc["vocabulary"] = list(vocabulary)
     if idf is not None:
         doc["idf"] = [float(v) for v in idf]
-    doc["config"] = {
-        "r": cfg.r,
-        "lambda": cfg.lam,
-        "tau": cfg.tau,
-        "max_iter": cfg.max_iter,
-        "seed": cfg.seed,
-        "restarts": cfg.restarts,
-    }
+    # The file names the field ``lam`` "lambda", here and at the top level.
+    doc["config"] = {"lambda" if k == "lam" else k: v for k, v in asdict(cfg).items()}
     if tfidf is not None:
         doc["config"]["tfidf"] = dict(tfidf)
     doc["objective_trace"] = [

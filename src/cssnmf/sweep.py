@@ -7,12 +7,12 @@ side through the same encode-then-predict path used for unseen documents
 (:func:`cssnmf.model.predict_many`, one batched solve per cell).
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .io import format_float
-from .model import FitConfig, NumericFailure, _regress_error, fit, predict_many
+from .model import FitConfig, NumericFailure, fit, predict_many
 from .synthetic import split_arrays
 
 __all__ = [
@@ -73,7 +73,9 @@ class SweepSpec:
 
 @dataclass
 class SweepCell:
-    """One grid cell: metrics plus the winning factorization (not persisted)."""
+    """One grid cell's metrics, from its winning restart (NaN if every
+    restart failed); one ``sweep.csv`` row, a column per field in field
+    order.  The file names the field ``lam`` ``lambda``."""
 
     r: int
     lam: float
@@ -83,8 +85,6 @@ class SweepCell:
     best_restart: int
     iterations: int
     status: str
-    fac: object = None
-    report: object = None
 
     @property
     def ok(self):
@@ -107,19 +107,17 @@ def _run_cell(X_tr, Y_tr, X_te, Y_te, r, lam, spec):
             r=r, lam=lam, train_mse=np.nan, test_mse=np.nan, final_F=np.nan,
             best_restart=-1, iterations=0, status=f"failed: {err}",
         )
-    R_train = _regress_error(Y_tr, fac.W, fac.theta)
     y_hat, _ = predict_many(fac.H, fac.theta, X_te)
     return SweepCell(
         r=r,
         lam=lam,
-        train_mse=R_train / X_tr.shape[0],
+        # The last trace row's R is the returned model's training error.
+        train_mse=report.objective_trace[-1][3] / X_tr.shape[0],
         test_mse=float(np.mean(np.square(y_hat - Y_te))),
         final_F=report.final_objective,
         best_restart=report.restart_index,
         iterations=report.iterations_run,
         status="ok",
-        fac=fac,
-        report=report,
     )
 
 
@@ -138,34 +136,29 @@ def run_sweep(X, Y, spec):
     ]
 
 
-SWEEP_COLUMNS = [
-    "r", "lambda", "train_mse", "test_mse", "final_F",
-    "best_restart", "iterations", "status",
-]
+SWEEP_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(SweepCell)]
+
+
+def _csv_cell(v):
+    """Floats round-trip through ``format_float``; commas in text become ``;``."""
+    if isinstance(v, str):
+        return v.replace(",", ";")
+    return format_float(v) if isinstance(v, float) else str(v)
 
 
 def write_sweep_csv(path, cells):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
         for c in cells:
-            fh.write(
-                ",".join([
-                    str(c.r),
-                    format_float(c.lam),
-                    format_float(c.train_mse),
-                    format_float(c.test_mse),
-                    format_float(c.final_F),
-                    str(c.best_restart),
-                    str(c.iterations),
-                    c.status.replace(",", ";"),
-                ])
-                + "\n"
-            )
+            fh.write(",".join(map(_csv_cell, astuple(c))) + "\n")
 
 
-def figure_filter(cells, factor=1.5):
+FIGURE_FACTOR = 1.5
+
+
+def figure_filter(cells):
     """Plot-ready subset: within each r, drop lambda > 0 cells whose train or
-    test error exceeds ``factor`` times the lambda = 0 cell's.
+    test error exceeds ``FIGURE_FACTOR`` times the lambda = 0 cell's.
 
     The unfiltered cells are the record of the run; this only trims outlier
     points that would dominate a figure's axes.  Groups without a healthy
@@ -183,6 +176,7 @@ def figure_filter(cells, factor=1.5):
                 continue
             if base is None or c.lam == 0:
                 keep.append(c)
-            elif c.train_mse <= factor * base.train_mse and c.test_mse <= factor * base.test_mse:
+            elif (c.train_mse <= FIGURE_FACTOR * base.train_mse
+                  and c.test_mse <= FIGURE_FACTOR * base.test_mse):
                 keep.append(c)
     return keep

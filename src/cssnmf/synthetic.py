@@ -8,7 +8,7 @@ nonnegative input.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -121,18 +121,8 @@ def save_dataset(ds, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     save_matrix_csv(out_dir / "X.csv", ds.X)
     save_vector_csv(out_dir / "Y.csv", ds.Y)
-    cfg = ds.config
     truth = {
-        "config": {
-            "n": cfg.n,
-            "m": cfg.m,
-            "r_true": cfg.r_true,
-            "M": cfg.M,
-            "eta_x": cfg.eta_x,
-            "eta_y": cfg.eta_y,
-            "noise_kind": cfg.noise_kind,
-            "seed": cfg.seed,
-        },
+        "config": asdict(ds.config),
         "W_true": [[float(v) for v in row] for row in ds.W_true],
         "H_true": [[float(v) for v in row] for row in ds.H_true],
         "theta_true": [float(v) for v in ds.theta_true],

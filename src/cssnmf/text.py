@@ -14,7 +14,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from importlib import resources
 
@@ -56,18 +56,10 @@ class RatedDocument:
 
 @dataclass
 class RatedCorpus:
-    """Corpus records; present ratings must lie in the closed rating range."""
+    """Corpus records.  Ratings may be any number; :func:`load_corpus`
+    checks them against a rating range when it is given one."""
 
     entries: list
-    rating_range: tuple = (1.0, 5.0)
-
-    def __post_init__(self):
-        lo, hi = self.rating_range
-        for e in self.entries:
-            if e.rating is not None and not lo <= e.rating <= hi:
-                raise ValueError(
-                    f"document {e.id!r} has rating {e.rating!r} outside [{lo}, {hi}]"
-                )
 
     def __len__(self):
         return len(self.entries)
@@ -123,15 +115,6 @@ class TfidfConfig:
             )
         if self.norm != "l1":
             raise ValueError(f"only l1 normalization is supported, got {self.norm!r}")
-
-    def as_dict(self):
-        return {
-            "min_df": self.min_df,
-            "max_df": self.max_df,
-            "stopwords": self.stopwords,
-            "lowercase": self.lowercase,
-            "norm": self.norm,
-        }
 
 
 @dataclass
@@ -298,17 +281,18 @@ def balance(corpus, edges, seed):
         picks = rng.choice(len(b), size=take, replace=False)
         chosen.extend(b[p] for p in picks)
     entries = [corpus.entries[i] for i in chosen]
-    return RatedCorpus(entries=entries, rating_range=corpus.rating_range)
+    return RatedCorpus(entries=entries)
 
 
 # Corpus files with these suffixes are JSON-lines; any other is CSV.
 JSONL_SUFFIXES = (".jsonl", ".ndjson")
 
 
-def load_corpus(path, rating_range=(1.0, 5.0), require_rating=True):
+def load_corpus(path, rating_range=None, require_rating=True):
     """Read a corpus from CSV (columns id, text, rating) or JSON-lines
     (objects with the same fields).  The rating field may be absent when
-    ``require_rating`` is false."""
+    ``require_rating`` is false.  When ``rating_range`` is a ``(lo, hi)``
+    pair, every present rating must lie in ``[lo, hi]``."""
     path = str(path)
     entries = []
     if path.endswith(JSONL_SUFFIXES):
@@ -334,7 +318,14 @@ def load_corpus(path, rating_range=(1.0, 5.0), require_rating=True):
                 entries.append(_entry_from_record(rec, path, k, require_rating))
     if not entries:
         raise ValueError(f"{path}: corpus is empty")
-    return RatedCorpus(entries=entries, rating_range=rating_range)
+    if rating_range is not None:
+        lo, hi = rating_range
+        for e in entries:
+            if e.rating is not None and not lo <= e.rating <= hi:
+                raise ValueError(
+                    f"document {e.id!r} has rating {e.rating!r} outside [{lo}, {hi}]"
+                )
+    return RatedCorpus(entries=entries)
 
 
 def is_corpus_file(path):
@@ -382,7 +373,7 @@ def save_vectorizer(path, dtm, cfg):
     """Persist vocabulary, idf, and the vectorizer settings as JSON."""
     doc = {
         "version": VECTORIZER_VERSION,
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "vocabulary": list(dtm.vocab.terms),
         "idf": [float(v) for v in dtm.idf],
         "doc_ids": list(dtm.doc_ids),

@@ -469,6 +469,10 @@ def test_text_workflow_ingest_fit_predict_topics(runner, tmp_path):
     model = load_model(fit_dir / "model.json")
     assert model.vocabulary == header
     assert model.idf is not None and model.config["tfidf"]["min_df"] == 0.05
+    tfidf_keys = ["min_df", "max_df", "stopwords", "lowercase", "norm"]
+    assert list(model.config) == ["r", "lambda", "tau", "max_iter", "seed", "restarts", "tfidf"]
+    assert list(model.config["tfidf"]) == tfidf_keys
+    assert list(json.loads((ing / "vectorizer.json").read_text())["config"]) == tfidf_keys
 
     # Text predictions equal matrix predictions on the training documents.
     p_text = tmp_path / "pt"
@@ -585,6 +589,38 @@ def test_ingest_rejects_out_of_range_rating(runner, tmp_path):
     corpus_path.write_text("id,text,rating\na,apple,9\n")
     res = runner.invoke(main, ["--out", str(tmp_path / "i"), "ingest", str(corpus_path)])
     assert res.exit_code == 3
+
+
+def test_predict_accepts_ratings_outside_the_ingest_default_range(runner, tmp_path):
+    # The rating range is an ingest setting: predict groups any rating by --edges.
+    words = "apple banana cherry damson elder fig grape".split()
+
+    def corpus(path, prefix, ratings):
+        rows = [{"id": f"{prefix}{i}", "rating": rating,
+                 "text": " ".join(words[(i + k) % len(words)] for k in range(3))}
+                for i, rating in enumerate(ratings)]
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=["id", "text", "rating"])
+            writer.writeheader()
+            writer.writerows(rows)
+
+    corpus(tmp_path / "train.csv", "d", [i % 11 for i in range(60)])
+    held = [0, 8, 10, 0, 8, 10, 0, 8, 10, 10]
+    corpus(tmp_path / "held.csv", "h", held)
+    res = invoke(runner, ["--out", tmp_path / "ing", "ingest", tmp_path / "train.csv",
+                          "--rating-range", "0,10", "--min-df", 0, "--max-df", 1.0])
+    assert res.exit_code == 0
+    ing = tmp_path / "ing"
+    res = invoke(runner, ["--out", tmp_path / "fit", "fit", ing / "X.csv", ing / "Y.csv",
+                          "--r", 2, "--restarts", 1, "--vectorizer", ing / "vectorizer.json"])
+    assert res.exit_code == 0
+    res = runner.invoke(main, ["--out", str(tmp_path / "p"), "predict",
+                               str(tmp_path / "fit" / "model.json"), str(tmp_path / "held.csv"),
+                               "--edges", "0,5,10"])
+    assert res.exit_code == 0, res.output
+    groups = list(csv.DictReader((tmp_path / "p" / "groups.csv").open()))
+    assert [int(g["count"]) for g in groups] == [3, 7]
+    assert sum(int(g["count"]) for g in groups) == len(held)
 
 
 # ------------------------------------------------------------------- topics

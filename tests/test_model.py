@@ -698,6 +698,8 @@ def test_model_round_trip(tmp_path):
     assert "W" not in doc
     assert set(doc) == {"version", "r", "lambda", "theta", "H",
                         "vocabulary", "idf", "config", "objective_trace"}
+    assert list(doc["config"]) == ["r", "lambda", "tau", "max_iter", "seed", "restarts",
+                                   "tfidf"]
 
 
 def test_model_round_trip_without_vocabulary(tmp_path):

@@ -125,5 +125,7 @@ def test_save_dataset_round_trip(tmp_path):
     assert np.array_equal(load_vector_csv(y_path), ds.Y)
     truth = json.loads(truth_path.read_text())
     assert truth["config"]["seed"] == 9
+    assert list(truth["config"]) == [
+        "n", "m", "r_true", "M", "eta_x", "eta_y", "noise_kind", "seed"]
     assert np.array_equal(np.asarray(truth["W_true"]), ds.W_true)
     assert np.array_equal(np.asarray(truth["theta_true"]), ds.theta_true)

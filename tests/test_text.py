@@ -339,9 +339,12 @@ def test_interval_index_half_open_except_last():
 
 # ------------------------------------------------------------------- corpus
 
-def test_rated_corpus_enforces_rating_range():
-    with pytest.raises(ValueError):
-        RatedCorpus(entries=[RatedDocument(id="a", text="t", rating=6.0)])
+def test_rated_corpus_enforces_rating_range(tmp_path):
+    p = tmp_path / "c.csv"
+    p.write_text("id,text,rating\na,t,6\n")
+    with pytest.raises(ValueError, match="outside"):
+        load_corpus(p, rating_range=(1, 5))
+    assert load_corpus(p).ratings().tolist() == [6.0]
 
 
 def test_load_corpus_csv(tmp_path):
@@ -400,6 +403,8 @@ def test_vectorizer_round_trip(tmp_path):
     dtm = build_tfidf(corpus_of(texts), cfg)
     path = tmp_path / "vec.json"
     save_vectorizer(path, dtm, cfg)
+    assert list(json.loads(path.read_text())["config"]) == [
+        "min_df", "max_df", "stopwords", "lowercase", "norm"]
     vocab, idf, cfg2 = load_vectorizer(path)
     assert vocab.terms == dtm.vocab.terms
     assert np.array_equal(idf, dtm.idf)
