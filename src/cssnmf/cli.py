@@ -8,9 +8,7 @@ topics ranked by regression weight.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
 
-import csv
 import functools
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -18,10 +16,12 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .io import format_float, load_matrix_csv, load_vector_csv, save_matrix_csv, save_vector_csv
+from .io import (format_float, load_matrix_csv, load_vector_csv, save_matrix_csv, save_vector_csv,
+                 write_json, write_table)
 from .linalg import ConvergenceError
 from .model import FitConfig, NumericFailure, fit as fit_model, load_model, predict_many, save_model
-from .sweep import SweepSpec, figure_filter as apply_figure_filter, lambda_grid, run_sweep, write_sweep_csv
+from .sweep import (LAMBDA_GRIDS, SweepSpec, figure_filter as apply_figure_filter, lambda_grid,
+                    run_sweep, write_sweep_csv)
 from .synthetic import SyntheticConfig, generate, save_dataset
 from .text import (
     TfidfConfig,
@@ -33,6 +33,7 @@ from .text import (
     load_corpus,
     load_vectorizer,
     save_vectorizer,
+    tfidf_config,
     vectorize_many,
 )
 
@@ -75,7 +76,19 @@ def _parse_float_list(text, what):
 
 
 def _parse_int_list(text, what):
-    return [int(v) for v in _parse_float_list(text, what)]
+    values = _parse_float_list(text, what)
+    if not all(v.is_integer() for v in values):
+        raise click.UsageError(f"{what} must be a list of whole numbers, got {text!r}")
+    return [int(v) for v in values]
+
+
+def _parse_edges(text, what):
+    """Interval edges: at least two, strictly ascending (the rule of
+    :func:`cssnmf.text.balance`)."""
+    edges = _parse_float_list(text, what)
+    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
+        raise click.UsageError(f"{what} needs at least two strictly ascending edges, got {text!r}")
+    return edges
 
 
 @click.group()
@@ -140,7 +153,7 @@ def ingest(obj, corpus, min_df, max_df, stopwords, lowercase, balance_edges, rat
         raise click.UsageError(f"--rating-range must be lo,hi with lo < hi, got {rating_range!r}")
     rc = load_corpus(corpus, rating_range=tuple(bounds))
     if balance_edges is not None:
-        edges = _parse_float_list(balance_edges, "--balance-edges")
+        edges = _parse_edges(balance_edges, "--balance-edges")
         rc = balance(rc, edges, obj["seed"])
         click.echo(f"balanced to {len(rc)} documents over {len(edges) - 1} intervals")
     cfg = TfidfConfig(min_df=min_df, max_df=max_df, stopwords=stopwords, lowercase=lowercase)
@@ -197,10 +210,7 @@ def fit_cmd(obj, x_path, y_path, r, lam, tau, max_iter, restarts, vectorizer):
         idf=idf,
         tfidf=None if tf_cfg is None else asdict(tf_cfg),
     )
-    with open(out / "objective_trace.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("iter,F,N,R\n")
-        for i, F, N, R in report.objective_trace:
-            fh.write(f"{i},{format_float(F)},{format_float(N)},{format_float(R)}\n")
+    write_table(out / "objective_trace.csv", ["iter", "F", "N", "R"], report.objective_trace)
     for w in report.warnings:
         click.echo(f"warning: {w}", err=True)
     click.echo(
@@ -235,7 +245,7 @@ def sweep(obj, x_path, y_path, r_list, lambdas, restarts, train_frac,
     """Fit an (r, lambda) grid and write sweep.csv."""
     X, _ = load_matrix_csv(x_path)
     Y = load_vector_csv(y_path)
-    if lambdas in ("synth", "text"):
+    if lambdas in LAMBDA_GRIDS:
         lam_values = lambda_grid(lambdas)
     else:
         lam_values = _parse_float_list(lambdas, "--lambdas")
@@ -279,6 +289,7 @@ def sweep(obj, x_path, y_path, r_list, lambdas, restarts, train_frac,
 def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
     """Predict ratings: predictions.csv, plus groups.csv when true ratings
     are available."""
+    edge_values = _parse_edges(edges, "--edges")
     model = load_model(model_path)
     if fmt == "auto":
         fmt = "text" if is_corpus_file(docs_path) else "matrix"
@@ -289,7 +300,7 @@ def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
             )
         if model.idf is None:
             raise ValueError("model carries a vocabulary but no idf weights")
-        tf_cfg = TfidfConfig(**model.config["tfidf"]) if "tfidf" in model.config else TfidfConfig()
+        tf_cfg = tfidf_config(model.config.get("tfidf", {}), f"{model_path}: field 'config.tfidf'")
         vocab = Vocabulary.from_terms(model.vocabulary)
         rc = load_corpus(docs_path, require_rating=False)
         X = vectorize_many([e.text for e in rc.entries], vocab, tf_cfg, model.idf)
@@ -308,24 +319,15 @@ def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
                     f"{ratings_path} has {ratings.shape[0]} ratings for {X.shape[0]} documents"
                 )
             y_true = [float(v) for v in ratings]
-    if X.shape[1] != model.H.shape[1]:
-        raise ValueError(
-            f"documents have {X.shape[1]} columns but the model expects {model.H.shape[1]}"
-        )
-    r = model.H.shape[0]
-    out = _outdir(obj)
     y_hats, W = predict_many(model.H, model.theta, X)
-    rows = list(zip(ids, y_hats, W))
-    with open(out / "predictions.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "y_hat"] + [f"w_{k}" for k in range(1, r + 1)])
-        for doc_id, y_hat, w in rows:
-            writer.writerow([doc_id, format_float(y_hat)] + [format_float(v) for v in w])
+    out = _outdir(obj)
+    write_table(out / "predictions.csv",
+                ["id", "y_hat"] + [f"w_{k}" for k in range(1, W.shape[1] + 1)],
+                ([doc_id, y_hat, *w] for doc_id, y_hat, w in zip(ids, y_hats, W)))
     click.echo(str(out / "predictions.csv"))
 
-    rated = [(y, row[1]) for y, row in zip(y_true, rows) if y is not None]
+    rated = [(y, y_hat) for y, y_hat in zip(y_true, y_hats) if y is not None]
     if rated:
-        edge_values = _parse_float_list(edges, "--edges")
         groups = [[] for _ in range(len(edge_values) - 1)]
         ungrouped = 0
         for y, y_hat in rated:
@@ -338,18 +340,12 @@ def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
                 f"warning: {ungrouped} rating(s) outside {edge_values} left out of groups.csv",
                 err=True,
             )
-        with open(out / "groups.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["low", "high", "count", "mean_true", "mean_pred"])
-            for k, members in enumerate(groups):
-                lo, hi = edge_values[k], edge_values[k + 1]
-                count = len(members)
-                mean_true = float(np.mean([y for y, _ in members])) if members else float("nan")
-                mean_pred = float(np.mean([p for _, p in members])) if members else float("nan")
-                writer.writerow([
-                    format_float(lo), format_float(hi), count,
-                    format_float(mean_true), format_float(mean_pred),
-                ])
+        write_table(out / "groups.csv", ["low", "high", "count", "mean_true", "mean_pred"], [
+            [lo, hi, len(members),
+             float(np.mean([y for y, _ in members])) if members else float("nan"),
+             float(np.mean([p for _, p in members])) if members else float("nan")]
+            for lo, hi, members in zip(edge_values, edge_values[1:], groups)
+        ])
         click.echo(str(out / "groups.csv"))
 
 
@@ -381,9 +377,7 @@ def topics(obj, model_path, top_k):
             "terms": [{"term": t, "weight": float(wt)} for wt, t in ranked[:top_k]],
         })
     out = _outdir(obj)
-    with open(out / "topics.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
+    write_json(out / "topics.json", report)
     lines = [f"intercept: {format_float(report['intercept'])}"]
     for entry in report["topics"]:
         lines.append(f"topic {entry['topic']}  theta={format_float(entry['theta'])}")

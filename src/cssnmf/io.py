@@ -1,8 +1,8 @@
-"""CSV readers/writers shared by the command-line tools.
+"""File syntax of every artifact: matrix CSVs, CSV tables and JSON documents.
 
-Floats are written with ``repr``, which round-trips exactly, so two runs
-producing equal arrays produce byte-identical files.  Line endings are
-always ``"\\n"``.
+Other modules build rows and dicts; only this one spells them on disk.
+Floats are written with ``repr``, which round-trips exactly, so equal
+values give byte-identical files.  Line endings are always ``"\\n"``.
 
 Text matrices are mostly zeros, so the matrix writer formats only the
 nonzero entries and writes the literal ``0.0`` (which is ``repr(0.0)``)
@@ -11,6 +11,8 @@ reader hands the body to numpy's C parser instead of calling ``float()``
 per cell; the values are the same.
 """
 
+import csv
+import json
 import re
 
 import numpy as np
@@ -21,6 +23,10 @@ __all__ = [
     "load_matrix_csv",
     "save_vector_csv",
     "load_vector_csv",
+    "write_table",
+    "write_json",
+    "read_json",
+    "json_array",
 ]
 
 
@@ -148,3 +154,50 @@ def load_vector_csv(path):
     if X.shape[1] != 1:
         raise ValueError(f"{path}: expected one column, found {X.shape[1]}")
     return X[:, 0]
+
+
+def write_table(path, header, rows):
+    """Write ``header`` and ``rows`` as CSV: ``float`` cells through
+    :func:`format_float`, any other cell as :mod:`csv` writes it (quoted,
+    RFC 4180, when it holds a comma, a double quote or a line break)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format_float(v) if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def write_json(path, doc):
+    """Write ``doc`` as JSON indented by one space, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def read_json(path, version):
+    """Read a JSON document; raises ``ValueError`` unless it is an object
+    whose ``version`` field is ``version``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, found {type(doc).__name__}")
+    if doc.get("version") != version:
+        raise ValueError(f"{path}: unsupported version {doc.get('version')!r}")
+    return doc
+
+
+def json_array(path, doc, name, ndim):
+    """Field ``name`` of a JSON document as a finite float array with
+    ``ndim`` axes; raises ``ValueError`` naming ``path`` and the field."""
+    if name not in doc:
+        raise ValueError(f"{path}: field {name!r} is missing")
+    try:
+        a = np.asarray(doc[name], dtype=float)
+        shaped = a.ndim == ndim
+    except (TypeError, ValueError):
+        shaped = False
+    if not shaped:
+        raise ValueError(f"{path}: field {name!r} must be a {ndim}-d array of numbers")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{path}: field {name!r} has non-finite entries")
+    return a

@@ -28,11 +28,11 @@ alone (``N`` depends on ``W`` and ``H`` only).  The stored term comes from
 the same code on the same arrays, so it equals a recomputation bit for bit.
 """
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .io import json_array, read_json, write_json
 from .linalg import ConvergenceError, lstsq, nnls_multi
 
 __all__ = [
@@ -501,38 +501,47 @@ def save_model(path, fac, cfg, report, vocabulary=None, idf=None, tfidf=None):
     doc["objective_trace"] = [
         [int(i), float(f), float(nn), float(rr)] for i, f, nn, rr in report.objective_trace
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path):
-    """Read a model JSON document back into a :class:`Model`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    version = doc.get("version")
-    if version != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {version!r}")
-    H = np.asarray(doc["H"], dtype=float)
-    theta = np.asarray(doc["theta"], dtype=float)
-    if H.ndim != 2 or theta.shape[0] != H.shape[0] + 1:
-        raise ValueError("model document is inconsistent: H/theta shapes disagree")
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(theta))):
-        raise ValueError("model document has non-finite entries in H/theta")
-    idf = doc.get("idf")
-    for key in ("vocabulary", "idf"):
-        if doc.get(key) is not None and len(doc[key]) != H.shape[1]:
+    """Read a model JSON document back into a :class:`Model`; a missing,
+    mistyped, non-finite or mis-sized field raises ``ValueError`` naming
+    ``path`` and the field."""
+    doc = read_json(path, MODEL_VERSION)
+    H = json_array(path, doc, "H", 2)
+    theta = json_array(path, doc, "theta", 1)
+    if theta.shape[0] != H.shape[0] + 1:
+        raise ValueError(f"{path}: model document is inconsistent: H/theta shapes disagree")
+    if doc.get("r") != H.shape[0]:
+        raise ValueError(
+            f"{path}: field 'r' must equal H's {H.shape[0]} rows, got {doc.get('r')!r}"
+        )
+    try:
+        lam = float(doc["lambda"])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{path}: field 'lambda' must be a number") from None
+    vocabulary = doc.get("vocabulary")
+    if vocabulary is not None and not (
+            isinstance(vocabulary, list) and all(isinstance(t, str) for t in vocabulary)):
+        raise ValueError(f"{path}: field 'vocabulary' must be a list of strings")
+    idf = None if doc.get("idf") is None else json_array(path, doc, "idf", 1)
+    for key, value in (("vocabulary", vocabulary), ("idf", idf)):
+        if value is not None and len(value) != H.shape[1]:
             raise ValueError(
-                f"model document is inconsistent: {len(doc[key])} {key} entries "
+                f"{path}: model document is inconsistent: {len(value)} {key} entries "
                 f"for {H.shape[1]} columns of H"
             )
+    config = doc.get("config", {})
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: field 'config' must be an object")
     return Model(
-        r=int(doc["r"]),
-        lam=float(doc["lambda"]),
+        r=H.shape[0],
+        lam=lam,
         theta=theta,
         H=H,
-        config=doc.get("config", {}),
+        config=config,
         objective_trace=doc.get("objective_trace", []),
-        vocabulary=doc.get("vocabulary"),
-        idf=None if idf is None else np.asarray(idf, dtype=float),
+        vocabulary=vocabulary,
+        idf=idf,
     )

@@ -11,7 +11,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .io import format_float
+from .io import write_table
 from .model import FitConfig, NumericFailure, fit, predict_many
 from .synthetic import split_arrays
 
@@ -139,18 +139,10 @@ def run_sweep(X, Y, spec):
 SWEEP_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(SweepCell)]
 
 
-def _csv_cell(v):
-    """Floats round-trip through ``format_float``; commas in text become ``;``."""
-    if isinstance(v, str):
-        return v.replace(",", ";")
-    return format_float(v) if isinstance(v, float) else str(v)
-
-
 def write_sweep_csv(path, cells):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for c in cells:
-            fh.write(",".join(map(_csv_cell, astuple(c))) + "\n")
+    """Write one ``sweep.csv`` row per cell under ``SWEEP_COLUMNS``; a
+    ``status`` holding a comma or a double quote is quoted."""
+    write_table(path, SWEEP_COLUMNS, map(astuple, cells))
 
 
 FIGURE_FACTOR = 1.5

@@ -7,12 +7,11 @@ produced by the noise are truncated to zero, so `X` is always a valid
 nonnegative input.
 """
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .io import save_matrix_csv, save_vector_csv
+from .io import save_matrix_csv, save_vector_csv, write_json
 
 __all__ = [
     "SyntheticConfig",
@@ -127,7 +126,5 @@ def save_dataset(ds, out_dir):
         "H_true": [[float(v) for v in row] for row in ds.H_true],
         "theta_true": [float(v) for v in ds.theta_true],
     }
-    with open(out_dir / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, indent=1)
-        fh.write("\n")
+    write_json(out_dir / "truth.json", truth)
     return out_dir / "X.csv", out_dir / "Y.csv", out_dir / "truth.json"

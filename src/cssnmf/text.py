@@ -20,13 +20,14 @@ from importlib import resources
 
 import numpy as np
 
-from .io import _is_numeric_row
+from .io import _is_numeric_row, json_array, read_json, write_json
 
 __all__ = [
     "RatedDocument",
     "RatedCorpus",
     "Vocabulary",
     "TfidfConfig",
+    "tfidf_config",
     "DocumentTermMatrix",
     "stopword_set",
     "tokenize",
@@ -115,6 +116,15 @@ class TfidfConfig:
             )
         if self.norm != "l1":
             raise ValueError(f"only l1 normalization is supported, got {self.norm!r}")
+
+
+def tfidf_config(settings, where):
+    """Rebuild a :class:`TfidfConfig` from persisted keyword settings;
+    raises ``ValueError`` prefixed with ``where`` if they are refused."""
+    try:
+        return TfidfConfig(**settings)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{where}: {err}") from None
 
 
 @dataclass
@@ -379,20 +389,21 @@ def save_vectorizer(path, dtm, cfg):
         "doc_ids": list(dtm.doc_ids),
         "zero_rows": list(dtm.zero_rows),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_vectorizer(path):
-    """Read a vectorizer JSON back as ``(Vocabulary, idf, TfidfConfig)``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != VECTORIZER_VERSION:
-        raise ValueError(f"unsupported vectorizer version {doc.get('version')!r}")
-    vocab = Vocabulary.from_terms(doc["vocabulary"])
-    idf = np.asarray(doc["idf"], dtype=float)
-    cfg = TfidfConfig(**doc["config"])
+    """Read a vectorizer JSON back as ``(Vocabulary, idf, TfidfConfig)``; a
+    missing, mistyped, non-finite or mis-sized field raises ``ValueError``
+    naming ``path`` and the field."""
+    doc = read_json(path, VECTORIZER_VERSION)
+    terms = doc.get("vocabulary")
+    if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)):
+        raise ValueError(f"{path}: field 'vocabulary' must be a list of strings")
+    vocab = Vocabulary.from_terms(terms)
+    idf = json_array(path, doc, "idf", 1)
     if idf.shape[0] != len(vocab):
-        raise ValueError("vectorizer document is inconsistent: idf/vocabulary sizes disagree")
-    return vocab, idf, cfg
+        raise ValueError(
+            f"{path}: vectorizer document is inconsistent: idf/vocabulary sizes disagree"
+        )
+    return vocab, idf, tfidf_config(doc.get("config"), f"{path}: field 'config'")

@@ -298,6 +298,18 @@ def test_sweep_bad_lambda_list_is_usage_error(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("r_list", ["2.7", "1,2.5", "inf"])
+def test_sweep_refuses_fractional_topic_counts(runner, tmp_path, r_list):
+    ds_dir = tmp_path / "ds"
+    invoke(runner, ["--seed", 9, "--out", ds_dir, "synth", "--n", 10, "--m", 5])
+    res = runner.invoke(main, ["--out", str(tmp_path), "sweep",
+                               str(ds_dir / "X.csv"), str(ds_dir / "Y.csv"),
+                               "--r", r_list, "--lambdas", "0", "--restarts", "1"])
+    assert res.exit_code == 2
+    assert "--r must be a list of whole numbers" in res.stderr
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 # ------------------------------------------------------------------ predict
 
 def _planted_model(path, vocab=None, idf=None, tfidf=None):
@@ -390,6 +402,20 @@ def test_predict_wrong_column_count(runner, tmp_path):
     res = runner.invoke(main, ["--out", str(tmp_path / "p"), "predict", str(model_path),
                                str(tmp_path / "docs.csv")])
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("edges", ["5,1", "3", "1,1", "1,nan"])
+def test_predict_refuses_edges_that_are_not_ascending(runner, tmp_path, edges):
+    model_path = tmp_path / "model.json"
+    _planted_model(model_path)
+    save_matrix_csv(tmp_path / "docs.csv", np.ones((2, 4)))
+    save_vector_csv(tmp_path / "ratings.csv", np.array([1.0, 4.0]))
+    res = runner.invoke(main, ["--out", str(tmp_path / "p"), "predict", str(model_path),
+                               str(tmp_path / "docs.csv"),
+                               "--ratings", str(tmp_path / "ratings.csv"), "--edges", edges])
+    assert res.exit_code == 2
+    assert "--edges needs at least two strictly ascending edges" in res.stderr
+    assert not (tmp_path / "p").exists()
 
 
 def test_predict_non_finite_model_exits_3_instead_of_hanging(tmp_path):
@@ -584,6 +610,15 @@ def test_ingest_balance_is_seeded(runner, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_ingest_refuses_balance_edges_that_are_not_ascending(runner, tmp_path):
+    corpus_path = tmp_path / "c.csv"
+    corpus_path.write_text("id,text,rating\na,apple banana,2\nb,banana cherry,4\n")
+    res = runner.invoke(main, ["--out", str(tmp_path / "i"), "ingest", str(corpus_path),
+                               "--balance-edges", "5,1"])
+    assert res.exit_code == 2
+    assert "--balance-edges needs at least two strictly ascending edges" in res.stderr
+
+
 def test_ingest_rejects_out_of_range_rating(runner, tmp_path):
     corpus_path = tmp_path / "c.csv"
     corpus_path.write_text("id,text,rating\na,apple,9\n")
@@ -621,6 +656,66 @@ def test_predict_accepts_ratings_outside_the_ingest_default_range(runner, tmp_pa
     groups = list(csv.DictReader((tmp_path / "p" / "groups.csv").open()))
     assert [int(g["count"]) for g in groups] == [3, 7]
     assert sum(int(g["count"]) for g in groups) == len(held)
+
+
+# ------------------------------------------------------ malformed documents
+
+@pytest.fixture(scope="module")
+def fitted_text_model(tmp_path_factory):
+    """An ingested corpus and a model fitted on it with its vectorizer."""
+    d = tmp_path_factory.mktemp("fitted")
+    write_corpus(d / "corpus.csv", n=20, seed=6)
+    runner = CliRunner()
+    assert invoke(runner, ["--out", d, "ingest", d / "corpus.csv",
+                           "--min-df", 0.05, "--max-df", 0.9]).exit_code == 0
+    assert invoke(runner, ["--out", d, "fit", d / "X.csv", d / "Y.csv", "--r", 2,
+                           "--restarts", 1, "--max-iter", 3,
+                           "--vectorizer", d / "vectorizer.json"]).exit_code == 0
+    return d
+
+
+def _edit(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+def _drop(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _unknown_tfidf_key(doc):
+    return {**doc, "config": {**doc["config"],
+                              "tfidf": {**doc["config"]["tfidf"], "colour": "red"}}}
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("model.json", _drop("r")),
+    ("model.json", _drop("H")),
+    ("model.json", _edit("theta", 1.5)),
+    ("model.json", _edit("vocabulary", 7)),
+    ("model.json", _unknown_tfidf_key),
+    ("model.json", lambda doc: [doc]),
+    ("vectorizer.json", _drop("vocabulary")),
+    ("vectorizer.json", lambda doc: {**doc, "config": {**doc["config"], "colour": "red"}}),
+    ("vectorizer.json", lambda doc: {**doc, "idf": [float("nan")] * len(doc["idf"])}),
+    ("vectorizer.json", lambda doc: [doc]),
+], ids=["model-without-r", "model-without-H", "model-theta-number",
+        "model-vocabulary-number", "model-tfidf-unknown-key", "model-array",
+        "vectorizer-without-vocabulary", "vectorizer-config-unknown-key",
+        "vectorizer-nan-idf", "vectorizer-array"])
+def test_malformed_model_or_vectorizer_exits_3(runner, tmp_path, fitted_text_model, name, edit):
+    d = fitted_text_model
+    doc = json.loads((d / name).read_text())
+    bad = tmp_path / name
+    bad.write_text(json.dumps(edit(doc)))
+    if name == "model.json":
+        args = ["predict", bad, d / "corpus.csv"]
+    else:
+        args = ["fit", d / "X.csv", d / "Y.csv", "--r", 2, "--restarts", 1, "--max-iter", 3,
+                "--vectorizer", bad]
+    res = runner.invoke(main, [str(a) for a in ["--out", tmp_path / "out", *args]])
+    assert res.exit_code == 3, res.output
+    assert f"{bad}: " in res.stderr
+    assert not (tmp_path / "out" / "model.json").exists()
 
 
 # ------------------------------------------------------------------- topics

@@ -1,5 +1,6 @@
-"""The CSV contract of cssnmf.io: the matrix writer's bytes and the reader's
-values must equal the per-cell reference implementations in conftest."""
+"""The file contract of cssnmf.io: the matrix writer's bytes and the reader's
+values must equal the per-cell reference implementations in conftest; the
+table and JSON writers' bytes are pinned."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from cssnmf.cli import main
-from cssnmf.io import load_matrix_csv, load_vector_csv, save_matrix_csv, save_vector_csv
+from cssnmf.io import (
+    json_array,
+    load_matrix_csv,
+    load_vector_csv,
+    read_json,
+    save_matrix_csv,
+    save_vector_csv,
+    write_json,
+    write_table,
+)
 from conftest import load_matrix_csv_reference, save_matrix_csv_reference
 
 # Number of vocabulary terms of a 3,000-document generated corpus: the
@@ -249,3 +259,52 @@ def test_cli_fit_exits_3_on_malformed_matrix(tmp_path, body):
     assert res.exit_code == 3
     assert "X.csv: row 3" in res.output
 
+
+
+# ------------------------------------------------------ tables and documents
+
+def test_write_table_bytes(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ["a", "b", "c"], [
+        [0.1, 3, 'x, "y"'],
+        [np.float64(-0.0), np.int64(7), "plain"],
+        [float("nan"), 0, ""],
+    ])
+    assert path.read_bytes() == (
+        b'a,b,c\n0.1,3,"x, ""y"""\n-0.0,7,plain\nnan,0,\n'
+    )
+
+
+def test_write_json_bytes_and_read_json(tmp_path):
+    path = tmp_path / "d.json"
+    write_json(path, {"version": 2, "x": [1.5, "a"]})
+    assert path.read_bytes() == b'{\n "version": 2,\n "x": [\n  1.5,\n  "a"\n ]\n}\n'
+    assert read_json(path, 2) == {"version": 2, "x": [1.5, "a"]}
+    with pytest.raises(ValueError, match="unsupported version 2"):
+        read_json(path, 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "expected a JSON object, found list"),
+    ('"version"', "expected a JSON object, found str"),
+    ("{", "Expecting"),
+])
+def test_read_json_rejects_non_objects(tmp_path, text, message):
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_json(path, 1)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, "field 'a' is missing"),
+    ({"a": 1.0}, "field 'a' must be a 1-d array"),
+    ({"a": [[1.0]]}, "field 'a' must be a 1-d array"),
+    ({"a": ["x"]}, "field 'a' must be a 1-d array"),
+    ({"a": [1.0, [2.0]]}, "field 'a' must be a 1-d array"),
+    ({"a": [1.0, float("nan")]}, "field 'a' has non-finite entries"),
+])
+def test_json_array_names_the_field(doc, message):
+    with pytest.raises(ValueError, match=f"^doc.json: {message}"):
+        json_array("doc.json", doc, "a", 1)
+    assert json_array("doc.json", {"a": [1, 2.5]}, "a", 1).tolist() == [1.0, 2.5]

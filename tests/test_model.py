@@ -722,11 +722,16 @@ def test_load_model_rejects_unknown_version(tmp_path):
         load_model(path)
 
 
+DROP = object()
+
+
 def _write_model_doc(path, **changes):
+    """A valid one-topic model document with ``changes`` applied; a field
+    set to ``DROP`` is left out."""
     doc = {"version": 1, "r": 1, "lambda": 0.0, "theta": [0.5, 1.0], "H": [[0.25, 0.75]],
            "vocabulary": ["alpha", "beta"], "idf": [1.0, 2.0]}
     doc.update(changes)
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not DROP}))
 
 
 @pytest.mark.parametrize("changes, message", [
@@ -737,11 +742,30 @@ def _write_model_doc(path, **changes):
     ({"vocabulary": ["alpha"]}, "1 vocabulary entries for 2 columns"),
     ({"vocabulary": ["alpha", "beta", "gamma"]}, "3 vocabulary entries for 2 columns"),
     ({"idf": [1.0, 2.0, 3.0]}, "3 idf entries for 2 columns"),
+    ({"r": DROP}, "field 'r' must equal H's 1 rows, got None"),
+    ({"r": 2}, "field 'r' must equal H's 1 rows, got 2"),
+    ({"H": DROP}, "field 'H' is missing"),
+    ({"lambda": DROP}, "field 'lambda' must be a number"),
+    ({"theta": 3.0}, "field 'theta' must be a 1-d array"),
+    ({"H": [0.25, 0.75]}, "field 'H' must be a 2-d array"),
+    ({"vocabulary": 2}, "field 'vocabulary' must be a list of strings"),
+    ({"vocabulary": ["alpha", 2]}, "field 'vocabulary' must be a list of strings"),
+    ({"idf": [1.0, float("nan")]}, "field 'idf' has non-finite entries"),
+    ({"idf": "high"}, "field 'idf' must be a 1-d array"),
+    ({"config": 7}, "field 'config' must be an object"),
 ])
 def test_load_model_rejects_bad_parameters(tmp_path, changes, message):
     path = tmp_path / "model.json"
     _write_model_doc(path, **changes)
     with pytest.raises(ValueError, match=message):
+        load_model(path)
+
+
+@pytest.mark.parametrize("text", ["[]", "[1, 2]", "3"])
+def test_load_model_rejects_a_document_that_is_not_an_object(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="model.json: expected a JSON object"):
         load_model(path)
 
 

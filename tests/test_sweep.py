@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,15 @@ def test_write_sweep_csv_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "r,lambda,train_mse,test_mse,final_F,best_restart,iterations,status"
+
+
+def test_failed_cell_status_round_trips_through_a_csv_reader(tmp_path):
+    status = 'failed: all 1 restarts failed (AtA is (4, 4), AtB is "x")'
+    cells = [_cell(1, 0.0, 1.25, 2.5), _cell(1, 0.5, np.nan, np.nan, status=status)]
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, cells)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["ok", status]
+    assert rows[1]["train_mse"] == "nan" and rows[1]["iterations"] == "1"
+    assert path.read_text().splitlines()[1] == "1,0.0,1.25,2.5,1.0,0,1,ok"

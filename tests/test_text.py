@@ -409,3 +409,38 @@ def test_vectorizer_round_trip(tmp_path):
     assert vocab.terms == dtm.vocab.terms
     assert np.array_equal(idf, dtm.idf)
     assert cfg2 == cfg
+
+
+def _write_vectorizer_doc(path, **changes):
+    """A valid two-term vectorizer document with ``changes`` applied; a
+    field set to None is left out."""
+    doc = {"version": 1,
+           "config": {"min_df": 0.0, "max_df": 1.0, "stopwords": "none",
+                      "lowercase": True, "norm": "l1"},
+           "vocabulary": ["alpha", "beta"], "idf": [1.0, 2.0]}
+    doc.update(changes)
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"vocabulary": None}, "field 'vocabulary' must be a list of strings"),
+    ({"vocabulary": 5}, "field 'vocabulary' must be a list of strings"),
+    ({"idf": None}, "field 'idf' is missing"),
+    ({"idf": [1.0, float("nan")]}, "field 'idf' has non-finite entries"),
+    ({"idf": [1.0, float("inf")]}, "field 'idf' has non-finite entries"),
+    ({"config": None}, "field 'config'"),
+    ({"config": {"min_df": 0.0, "colour": "red"}}, "field 'config'.*colour"),
+    ({"config": {"stopwords": "klingon"}}, "field 'config'.*stopwords"),
+])
+def test_load_vectorizer_rejects_bad_documents(tmp_path, changes, message):
+    path = tmp_path / "vec.json"
+    _write_vectorizer_doc(path, **changes)
+    with pytest.raises(ValueError, match=f"vec.json: {message}"):
+        load_vectorizer(path)
+
+
+def test_load_vectorizer_rejects_a_document_that_is_not_an_object(tmp_path):
+    path = tmp_path / "vec.json"
+    path.write_text('["alpha", "beta"]')
+    with pytest.raises(ValueError, match="vec.json: expected a JSON object, found list"):
+        load_vectorizer(path)
