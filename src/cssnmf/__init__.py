@@ -19,7 +19,6 @@ from .model import (
     load_model,
     normalize,
     objective,
-    predict,
     predict_many,
     save_model,
     update_h,
@@ -39,7 +38,6 @@ from .text import (
     load_corpus,
     tokenize,
     vectorize_many,
-    vectorize_new,
 )
 
 __version__ = "0.1.0"
@@ -58,7 +56,6 @@ __all__ = [
     "load_model",
     "normalize",
     "objective",
-    "predict",
     "predict_many",
     "save_model",
     "update_h",
@@ -81,6 +78,5 @@ __all__ = [
     "load_corpus",
     "tokenize",
     "vectorize_many",
-    "vectorize_new",
     "__version__",
 ]

@@ -191,7 +191,7 @@ def ingest(obj, corpus, min_df, max_df, stopwords, lowercase, balance_edges, rat
 @_mapped
 def fit_cmd(obj, x_path, y_path, r, lam, tau, max_iter, restarts, vectorizer):
     """Fit one model: model.json plus objective_trace.csv."""
-    X, _ = load_matrix_csv(x_path)
+    X, header = load_matrix_csv(x_path)
     Y = load_vector_csv(y_path)
     vocab = idf = tf_cfg = None
     if vectorizer is not None:
@@ -200,6 +200,8 @@ def fit_cmd(obj, x_path, y_path, r, lam, tau, max_iter, restarts, vectorizer):
             raise ValueError(
                 f"vectorizer has {len(vocab)} terms but X has {X.shape[1]} columns"
             )
+        if header is not None and tuple(header) != vocab.terms:
+            raise ValueError(f"{x_path}: header is not the vocabulary of {vectorizer}, in order")
     cfg = FitConfig(r=r, lam=lam, tau=tau, max_iter=max_iter,
                     seed=obj["seed"], restarts=restarts)
     fac, report = fit_model(X, Y, cfg)

@@ -14,6 +14,7 @@ per cell; the values are the same.
 import csv
 import json
 import re
+from collections import Counter
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "write_json",
     "read_json",
     "json_array",
+    "json_terms",
 ]
 
 
@@ -201,3 +203,15 @@ def json_array(path, doc, name, ndim):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{path}: field {name!r} has non-finite entries")
     return a
+
+
+def json_terms(path, doc, name):
+    """Field ``name`` of a JSON document as a list of distinct strings;
+    raises ``ValueError`` naming ``path`` and the field."""
+    terms = doc.get(name)
+    if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)):
+        raise ValueError(f"{path}: field {name!r} must be a list of strings")
+    if len(set(terms)) != len(terms):
+        repeated = next(t for t, c in Counter(terms).items() if c > 1)
+        raise ValueError(f"{path}: field {name!r} repeats the term {repeated!r}")
+    return terms

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .io import json_array, read_json, write_json
+from .io import json_array, json_terms, read_json, write_json
 from .linalg import ConvergenceError, lstsq, nnls_multi
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "update_w",
     "normalize",
     "fit",
-    "predict",
     "predict_many",
     "save_model",
     "load_model",
@@ -435,27 +434,12 @@ def predict_many(H, theta, X):
         raise ValueError("documents contain non-finite entries")
     if np.any(X < 0):
         raise ValueError("documents must be nonnegative")
-    # Per-document products (H x, w . theta) round exactly as a one-document
-    # call does, so predict_many agrees bit for bit with predict.
+    # Per-document products (H x, w . theta), so a document's prediction
+    # does not depend on the other documents in the call.
     HX = np.matmul(H, X[:, :, None])[:, :, 0]
     W = np.ascontiguousarray(nnls_multi(H @ H.T, HX.T).T)
     y_hat = theta[0] + np.matmul(W[:, None, :], theta[1:])[:, 0]
     return y_hat, W
-
-
-def predict(H, theta, x):
-    """Predict the response for one document row: the one-row case of
-    :func:`predict_many`.
-
-    Returns
-    -------
-    (y_hat, w) : predicted response and the (r,) topic encoding.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"document vector must be 1-d, got shape {x.shape}")
-    y_hat, W = predict_many(H, theta, x[None, :])
-    return float(y_hat[0]), W[0]
 
 
 MODEL_VERSION = 1
@@ -464,7 +448,7 @@ MODEL_VERSION = 1
 @dataclass
 class Model:
     """Deserialized model document; ``W`` is never persisted (recomputable
-    per document via :func:`predict`)."""
+    per document via :func:`predict_many`)."""
 
     r: int
     lam: float
@@ -521,10 +505,7 @@ def load_model(path):
         lam = float(doc["lambda"])
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"{path}: field 'lambda' must be a number") from None
-    vocabulary = doc.get("vocabulary")
-    if vocabulary is not None and not (
-            isinstance(vocabulary, list) and all(isinstance(t, str) for t in vocabulary)):
-        raise ValueError(f"{path}: field 'vocabulary' must be a list of strings")
+    vocabulary = None if doc.get("vocabulary") is None else json_terms(path, doc, "vocabulary")
     idf = None if doc.get("idf") is None else json_array(path, doc, "idf", 1)
     for key, value in (("vocabulary", vocabulary), ("idf", idf)):
         if value is not None and len(value) != H.shape[1]:

@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .io import _is_numeric_row, json_array, read_json, write_json
+from .io import _is_numeric_row, json_array, json_terms, read_json, write_json
 
 __all__ = [
     "RatedDocument",
@@ -33,7 +33,6 @@ __all__ = [
     "tokenize",
     "build_tfidf",
     "balance",
-    "vectorize_new",
     "vectorize_many",
     "interval_index",
     "load_corpus",
@@ -76,17 +75,17 @@ class RatedCorpus:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Lexicographically sorted term list with its inverse lookup."""
+    """Term list in column order, with its inverse lookup."""
 
     terms: tuple
     index: dict = field(hash=False, compare=False, default=None)
 
     @classmethod
     def from_terms(cls, terms):
-        ordered = tuple(sorted(terms))
-        if len(set(ordered)) != len(ordered):
+        terms = tuple(terms)
+        if len(set(terms)) != len(terms):
             raise ValueError("vocabulary terms must be unique")
-        return cls(terms=ordered, index={t: j for j, t in enumerate(ordered)})
+        return cls(terms=terms, index={t: j for j, t in enumerate(terms)})
 
     def __len__(self):
         return len(self.terms)
@@ -219,7 +218,7 @@ def build_tfidf(corpus, cfg):
             f"empty vocabulary: no term has document frequency in [{lo}, {hi}] "
             f"across {n} documents (min_df={cfg.min_df}, max_df={cfg.max_df})"
         )
-    vocab = Vocabulary.from_terms(kept)
+    vocab = Vocabulary.from_terms(sorted(kept))
     idf = np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in vocab.terms])
     X, zero_rows = _tfidf_rows(doc_counts, vocab, idf)
     return DocumentTermMatrix(
@@ -243,12 +242,6 @@ def vectorize_many(docs, vocab, cfg, idf):
         raise ValueError(f"idf has {idf.shape[0]} entries for {len(vocab)} terms")
     X, _ = _tfidf_rows((Counter(tokenize(doc, cfg)) for doc in docs), vocab, idf)
     return X
-
-
-def vectorize_new(doc, vocab, cfg, idf):
-    """Vectorize one unseen document: the one-document case of
-    :func:`vectorize_many`."""
-    return vectorize_many([doc], vocab, cfg, idf)[0]
 
 
 def interval_index(value, edges):
@@ -397,10 +390,7 @@ def load_vectorizer(path):
     missing, mistyped, non-finite or mis-sized field raises ``ValueError``
     naming ``path`` and the field."""
     doc = read_json(path, VECTORIZER_VERSION)
-    terms = doc.get("vocabulary")
-    if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)):
-        raise ValueError(f"{path}: field 'vocabulary' must be a list of strings")
-    vocab = Vocabulary.from_terms(terms)
+    vocab = Vocabulary.from_terms(json_terms(path, doc, "vocabulary"))
     idf = json_array(path, doc, "idf", 1)
     if idf.shape[0] != len(vocab):
         raise ValueError(

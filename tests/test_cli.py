@@ -471,6 +471,26 @@ def test_predict_detects_matrix_with_id_and_text_terms_and_quoted_corpus(runner,
     assert auto == text and [r["id"] for r in auto] == ["a", "b"]
 
 
+NO_STOP_TFIDF = {"min_df": 0.0, "max_df": 1.0, "stopwords": "none", "lowercase": True,
+                 "norm": "l1"}
+
+
+def test_predict_maps_corpus_terms_in_the_model_files_order(runner, tmp_path):
+    # With H = I each topic is one term, so the encoding shows which column
+    # a document's term went to; "zebra" is column 0, as in the file.
+    model_path = tmp_path / "model.json"
+    fac = Factorization(W=np.zeros((1, 2)), H=np.eye(2), theta=np.array([0.0, 5.0, 1.0]))
+    report = FitReport(objective_trace=[(0, 0.0, 0.0, 0.0)], final_objective=0.0,
+                       iterations_run=0, converged=True, restart_index=0)
+    save_model(model_path, fac, FitConfig(r=2), report, vocabulary=["zebra", "apple"],
+               idf=[1.0, 1.0], tfidf=NO_STOP_TFIDF)
+    corpus = tmp_path / "docs.csv"
+    corpus.write_text("id,text\nz,zebra zebra\n")
+    res = invoke(runner, ["--out", tmp_path / "p", "predict", model_path, corpus])
+    assert res.exit_code == 0
+    assert (tmp_path / "p" / "predictions.csv").read_text() == "id,y_hat,w_1,w_2\nz,5.0,1.0,0.0\n"
+
+
 # ----------------------------------------------------- text path end to end
 
 def test_text_workflow_ingest_fit_predict_topics(runner, tmp_path):
@@ -687,6 +707,10 @@ def _unknown_tfidf_key(doc):
                               "tfidf": {**doc["config"]["tfidf"], "colour": "red"}}}
 
 
+def _repeat_first_term(doc):
+    return {**doc, "vocabulary": [doc["vocabulary"][0]] * len(doc["vocabulary"])}
+
+
 @pytest.mark.parametrize("name, edit", [
     ("model.json", _drop("r")),
     ("model.json", _drop("H")),
@@ -698,10 +722,13 @@ def _unknown_tfidf_key(doc):
     ("vectorizer.json", lambda doc: {**doc, "config": {**doc["config"], "colour": "red"}}),
     ("vectorizer.json", lambda doc: {**doc, "idf": [float("nan")] * len(doc["idf"])}),
     ("vectorizer.json", lambda doc: [doc]),
+    ("model.json", _repeat_first_term),
+    ("vectorizer.json", _repeat_first_term),
 ], ids=["model-without-r", "model-without-H", "model-theta-number",
         "model-vocabulary-number", "model-tfidf-unknown-key", "model-array",
         "vectorizer-without-vocabulary", "vectorizer-config-unknown-key",
-        "vectorizer-nan-idf", "vectorizer-array"])
+        "vectorizer-nan-idf", "vectorizer-array", "model-repeated-term",
+        "vectorizer-repeated-term"])
 def test_malformed_model_or_vectorizer_exits_3(runner, tmp_path, fitted_text_model, name, edit):
     d = fitted_text_model
     doc = json.loads((d / name).read_text())
@@ -716,6 +743,37 @@ def test_malformed_model_or_vectorizer_exits_3(runner, tmp_path, fitted_text_mod
     assert res.exit_code == 3, res.output
     assert f"{bad}: " in res.stderr
     assert not (tmp_path / "out" / "model.json").exists()
+
+
+def test_fit_refuses_an_x_header_that_is_not_the_vectorizer_vocabulary(
+        runner, tmp_path, fitted_text_model):
+    d = fitted_text_model
+    header, body = (d / "X.csv").read_text().split("\n", 1)
+    terms = header.split(",")
+    terms[0], terms[1] = terms[1], terms[0]
+    swapped = tmp_path / "X.csv"
+    swapped.write_text(",".join(terms) + "\n" + body)
+    res = runner.invoke(main, [str(a) for a in [
+        "--out", tmp_path / "out", "fit", swapped, d / "Y.csv", "--r", 2, "--restarts", 1,
+        "--max-iter", 3, "--vectorizer", d / "vectorizer.json"]])
+    assert res.exit_code == 3, res.output
+    assert str(swapped) in res.stderr and str(d / "vectorizer.json") in res.stderr
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+def test_fit_embeds_the_vectorizer_vocabulary_in_its_order(runner, tmp_path):
+    vec = tmp_path / "vectorizer.json"
+    vec.write_text(json.dumps({"version": 1, "config": NO_STOP_TFIDF,
+                               "vocabulary": ["zebra", "apple"], "idf": [3.0, 7.0]}))
+    save_matrix_csv(tmp_path / "X.csv", np.array([[0.2, 0.8], [0.6, 0.4], [1.0, 0.0]]),
+                    header=["zebra", "apple"])
+    save_vector_csv(tmp_path / "Y.csv", np.array([1.0, 2.0, 3.0]))
+    res = invoke(runner, ["--out", tmp_path / "f", "fit", tmp_path / "X.csv",
+                          tmp_path / "Y.csv", "--r", 1, "--restarts", 1, "--max-iter", 3,
+                          "--vectorizer", vec])
+    assert res.exit_code == 0
+    doc = json.loads((tmp_path / "f" / "model.json").read_text())
+    assert doc["vocabulary"] == ["zebra", "apple"] and doc["idf"] == [3.0, 7.0]
 
 
 # ------------------------------------------------------------------- topics
@@ -774,4 +832,13 @@ def test_topics_rejects_vocabulary_of_wrong_length(runner, tmp_path):
     assert res.exit_code == 3
     assert ("model document is inconsistent: 3 vocabulary entries for 4 columns of H"
             in res.stderr)
+    assert not (tmp_path / "t" / "topics.json").exists()
+
+
+def test_topics_refuses_a_repeated_vocabulary_term(runner, tmp_path):
+    model_path = tmp_path / "model.json"
+    _planted_model(model_path, vocab=["alpha", "beta", "alpha", "delta"])
+    res = runner.invoke(main, ["--out", str(tmp_path / "t"), "topics", str(model_path)])
+    assert res.exit_code == 3
+    assert f"{model_path}: field 'vocabulary' repeats the term 'alpha'" in res.stderr
     assert not (tmp_path / "t" / "topics.json").exists()

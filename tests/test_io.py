@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from cssnmf.cli import main
 from cssnmf.io import (
     json_array,
+    json_terms,
     load_matrix_csv,
     load_vector_csv,
     read_json,
@@ -308,3 +309,15 @@ def test_json_array_names_the_field(doc, message):
     with pytest.raises(ValueError, match=f"^doc.json: {message}"):
         json_array("doc.json", doc, "a", 1)
     assert json_array("doc.json", {"a": [1, 2.5]}, "a", 1).tolist() == [1.0, 2.5]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, "field 'a' must be a list of strings"),
+    ({"a": "ab"}, "field 'a' must be a list of strings"),
+    ({"a": ["x", 1]}, "field 'a' must be a list of strings"),
+    ({"a": ["x", "y", "x"]}, "field 'a' repeats the term 'x'"),
+])
+def test_json_terms_names_the_field(doc, message):
+    with pytest.raises(ValueError, match=f"^doc.json: {message}"):
+        json_terms("doc.json", doc, "a")
+    assert json_terms("doc.json", {"a": ["y", "x"]}, "a") == ["y", "x"]

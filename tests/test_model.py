@@ -22,7 +22,6 @@ from cssnmf.model import (
     load_model,
     normalize,
     objective,
-    predict,
     predict_many,
     save_model,
     update_h,
@@ -597,20 +596,20 @@ def test_fit_skips_a_restart_whose_iterates_overflow():
 def test_predict_empty_document_returns_intercept():
     H = np.array([[0.5, 0.5], [0.9, 0.1]])
     theta = np.array([2.5, 1.0, -1.0])
-    y_hat, w = predict(H, theta, np.zeros(2))
-    assert y_hat == theta[0]
-    assert np.array_equal(w, np.zeros(2))
+    y_hat, W = predict_many(H, theta, np.zeros((1, 2)))
+    assert y_hat[0] == theta[0]
+    assert np.array_equal(W[0], np.zeros(2))
 
 
 def test_predict_pure_topic_document():
     H = np.array([[0.7, 0.3, 0.0, 0.0], [0.0, 0.0, 0.4, 0.6]])
     theta = np.array([1.0, 2.0, -3.0])
     for k in range(2):
-        y_hat, w = predict(H, theta, H[k])
+        y_hat, W = predict_many(H, theta, H[k:k + 1])
         e_k = np.zeros(2)
         e_k[k] = 1.0
-        assert np.allclose(w, e_k, atol=1e-10)
-        assert abs(y_hat - (theta[0] + theta[k + 1])) <= 1e-10
+        assert np.allclose(W[0], e_k, atol=1e-10)
+        assert abs(y_hat[0] - (theta[0] + theta[k + 1])) <= 1e-10
 
 
 def test_predict_matches_brute_force_encoding():
@@ -619,10 +618,10 @@ def test_predict_matches_brute_force_encoding():
         H = rng.uniform(size=(3, 6))
         theta = rng.normal(size=4)
         x = rng.uniform(size=6)
-        y_hat, w = predict(H, theta, x)
+        y_hat, W = predict_many(H, theta, x[None, :])
         ref = brute_force_nnls(H.T, x)
-        assert np.linalg.norm(w - ref) <= 1e-6
-        assert abs(y_hat - (theta[0] + w @ theta[1:])) <= 1e-12
+        assert np.linalg.norm(W[0] - ref) <= 1e-6
+        assert abs(y_hat[0] - (theta[0] + W[0] @ theta[1:])) <= 1e-12
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -634,9 +633,9 @@ def test_predict_many_equals_stacked_predict(r, m, k, seed):
     X = rng.uniform(size=(k, m)) * (rng.random((k, 1)) < 0.8)
     y_hat, W = predict_many(H, theta, X)
     assert y_hat.shape == (k,) and W.shape == (k, r)
-    for i, x in enumerate(X):
-        y_i, w_i = predict(H, theta, x)
-        assert y_hat[i] == y_i and np.array_equal(W[i], w_i)
+    for i in range(k):
+        y_i, W_i = predict_many(H, theta, X[i:i + 1])
+        assert y_hat[i] == y_i[0] and np.array_equal(W[i], W_i[0])
 
 
 def test_predict_many_validates_input():
@@ -660,15 +659,6 @@ def test_predict_many_rejects_non_finite_model(where, bad):
     params[where].flat[1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         predict_many(params["H"], params["theta"], np.ones((2, 3)))
-
-
-def test_predict_validates_input():
-    H = np.ones((2, 3))
-    theta = np.zeros(3)
-    with pytest.raises(ValueError):
-        predict(H, theta, np.ones(4))
-    with pytest.raises(ValueError):
-        predict(H, theta, np.array([1.0, -1.0, 0.0]))
 
 
 # -------------------------------------------------------------- persistence
@@ -753,6 +743,7 @@ def _write_model_doc(path, **changes):
     ({"idf": [1.0, float("nan")]}, "field 'idf' has non-finite entries"),
     ({"idf": "high"}, "field 'idf' must be a 1-d array"),
     ({"config": 7}, "field 'config' must be an object"),
+    ({"vocabulary": ["alpha", "alpha"]}, "field 'vocabulary' repeats the term 'alpha'"),
 ])
 def test_load_model_rejects_bad_parameters(tmp_path, changes, message):
     path = tmp_path / "model.json"

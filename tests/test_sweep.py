@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cssnmf.sweep
-from cssnmf.model import FitConfig, NumericFailure, fit, objective, predict
+from cssnmf.model import FitConfig, NumericFailure, fit, objective, predict_many
 from cssnmf.synthetic import SyntheticConfig, generate, split_arrays
 from cssnmf.sweep import (
     SweepCell,
@@ -68,7 +68,7 @@ def test_single_cell_matches_direct_fit():
     assert cell.iterations == report.iterations_run
     R_train = objective(fac, X_tr, Y_tr, 0.5)[2]
     assert cell.train_mse == R_train / X_tr.shape[0]
-    errs = [predict(fac.H, fac.theta, x)[0] - y for x, y in zip(X_te, Y_te)]
+    errs = [predict_many(fac.H, fac.theta, x[None, :])[0][0] - y for x, y in zip(X_te, Y_te)]
     assert cell.test_mse == pytest.approx(float(np.mean(np.square(errs))), rel=1e-12)
 
 

@@ -20,7 +20,6 @@ from cssnmf.text import (
     stopword_set,
     tokenize,
     vectorize_many,
-    vectorize_new,
 )
 
 NO_STOP = TfidfConfig(min_df=0.0, max_df=1.0, stopwords="none")
@@ -191,26 +190,26 @@ def test_tfidf_config_validation(kwargs):
         TfidfConfig(**kwargs)
 
 
-# ------------------------------------------------------------ vectorize_new
+# ----------------------------------------------------------- vectorize_many
 
 def test_vectorize_training_document_round_trips():
     texts = ["apple banana apple", "banana cherry", "apple cherry date"]
     dtm = build_tfidf(corpus_of(texts), NO_STOP)
     for i, t in enumerate(texts):
-        x = vectorize_new(t, dtm.vocab, NO_STOP, dtm.idf)
+        x = vectorize_many([t], dtm.vocab, NO_STOP, dtm.idf)[0]
         assert np.array_equal(x, dtm.X[i])
 
 
 def test_vectorize_all_oov_gives_zero_vector():
     dtm = build_tfidf(corpus_of(["apple banana", "banana cherry"]), NO_STOP)
-    x = vectorize_new("zebra quokka", dtm.vocab, NO_STOP, dtm.idf)
+    x = vectorize_many(["zebra quokka"], dtm.vocab, NO_STOP, dtm.idf)[0]
     assert np.array_equal(x, np.zeros(len(dtm.vocab)))
 
 
 def test_vectorize_mixed_tokens_hand_oracle():
     texts = ["apple banana", "banana cherry", "apple cherry"]
     dtm = build_tfidf(corpus_of(texts), NO_STOP)
-    x = vectorize_new("apple apple zebra", dtm.vocab, NO_STOP, dtm.idf)
+    x = vectorize_many(["apple apple zebra"], dtm.vocab, NO_STOP, dtm.idf)[0]
     expected = np.zeros(3)
     expected[dtm.vocab.index["apple"]] = 2 * dtm.idf[dtm.vocab.index["apple"]]
     expected /= expected.sum()
@@ -219,8 +218,6 @@ def test_vectorize_mixed_tokens_hand_oracle():
 
 def test_vectorize_checks_idf_length():
     vocab = Vocabulary.from_terms(["apple", "banana"])
-    with pytest.raises(ValueError):
-        vectorize_new("apple", vocab, NO_STOP, np.ones(3))
     with pytest.raises(ValueError):
         vectorize_many(["apple"], vocab, NO_STOP, np.ones(3))
 
@@ -254,7 +251,7 @@ def test_tfidf_rows_equal_per_document_reference(seed):
     expected = [row_from_counts_reference(Counter(tokenize(t, cfg)), dtm.vocab, dtm.idf)[0]
                 for t in held_out]
     assert np.array_equal(X, np.array(expected))
-    assert np.array_equal(vectorize_new(held_out[0], dtm.vocab, cfg, dtm.idf), expected[0])
+    assert np.array_equal(vectorize_many([held_out[0]], dtm.vocab, cfg, dtm.idf)[0], expected[0])
 
 
 def test_vectorize_many_of_no_documents():
@@ -431,12 +428,21 @@ def _write_vectorizer_doc(path, **changes):
     ({"config": None}, "field 'config'"),
     ({"config": {"min_df": 0.0, "colour": "red"}}, "field 'config'.*colour"),
     ({"config": {"stopwords": "klingon"}}, "field 'config'.*stopwords"),
+    ({"vocabulary": ["alpha", "alpha"]}, "field 'vocabulary' repeats the term 'alpha'"),
 ])
 def test_load_vectorizer_rejects_bad_documents(tmp_path, changes, message):
     path = tmp_path / "vec.json"
     _write_vectorizer_doc(path, **changes)
     with pytest.raises(ValueError, match=f"vec.json: {message}"):
         load_vectorizer(path)
+
+
+def test_load_vectorizer_keeps_the_files_term_order(tmp_path):
+    path = tmp_path / "vec.json"
+    _write_vectorizer_doc(path, vocabulary=["zebra", "apple"], idf=[3.0, 7.0])
+    vocab, idf, _ = load_vectorizer(path)
+    assert vocab.terms == ("zebra", "apple") and vocab.index == {"zebra": 0, "apple": 1}
+    assert np.array_equal(idf, [3.0, 7.0])
 
 
 def test_load_vectorizer_rejects_a_document_that_is_not_an_object(tmp_path):
