@@ -24,6 +24,7 @@ from .sweep import (LAMBDA_GRIDS, SweepSpec, figure_filter as apply_figure_filte
                     run_sweep, write_sweep_csv)
 from .synthetic import SyntheticConfig, generate, save_dataset
 from .text import (
+    BLOCK_ROWS,
     TfidfConfig,
     Vocabulary,
     balance,
@@ -159,7 +160,7 @@ def ingest(obj, corpus, min_df, max_df, stopwords, lowercase, balance_edges, rat
     cfg = TfidfConfig(min_df=min_df, max_df=max_df, stopwords=stopwords, lowercase=lowercase)
     dtm = build_tfidf(rc, cfg)
     out = _outdir(obj)
-    save_matrix_csv(out / "X.csv", dtm.X, header=list(dtm.vocab.terms))
+    save_matrix_csv(out / "X.csv", dtm.blocks(), header=list(dtm.vocab.terms))
     save_vector_csv(out / "Y.csv", rc.ratings(), name="rating")
     save_vectorizer(out / "vectorizer.json", dtm, cfg)
     click.echo(f"{len(rc)} documents x {len(dtm.vocab)} terms")
@@ -305,11 +306,21 @@ def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
         tf_cfg = tfidf_config(model.config.get("tfidf", {}), f"{model_path}: field 'config.tfidf'")
         vocab = Vocabulary.from_terms(model.vocabulary)
         rc = load_corpus(docs_path, require_rating=False)
-        X = vectorize_many([e.text for e in rc.entries], vocab, tf_cfg, model.idf)
         ids = [e.id for e in rc.entries]
         y_true = [e.rating for e in rc.entries]
         if ratings_path is not None:
             raise click.UsageError("--ratings applies to matrix input; corpus files carry ratings inline")
+        # One block of documents per call: a document's encoding does not
+        # depend on the other documents in its call, so the scores are
+        # those of a single call over every document.
+        y_hats, W = [], []
+        for i in range(0, len(rc), BLOCK_ROWS):
+            texts = [e.text for e in rc.entries[i:i + BLOCK_ROWS]]
+            y, w = predict_many(model.H, model.theta,
+                                vectorize_many(texts, vocab, tf_cfg, model.idf))
+            y_hats.append(y)
+            W.append(w)
+        y_hats, W = np.concatenate(y_hats), np.concatenate(W)
     else:
         X, _ = load_matrix_csv(docs_path)
         ids = [str(i) for i in range(X.shape[0])]
@@ -321,7 +332,7 @@ def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
                     f"{ratings_path} has {ratings.shape[0]} ratings for {X.shape[0]} documents"
                 )
             y_true = [float(v) for v in ratings]
-    y_hats, W = predict_many(model.H, model.theta, X)
+        y_hats, W = predict_many(model.H, model.theta, X)
     out = _outdir(obj)
     write_table(out / "predictions.csv",
                 ["id", "y_hat"] + [f"w_{k}" for k in range(1, W.shape[1] + 1)],

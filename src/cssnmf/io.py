@@ -8,13 +8,19 @@ Text matrices are mostly zeros, so the matrix writer formats only the
 nonzero entries and writes the literal ``0.0`` (which is ``repr(0.0)``)
 for the rest; the bytes are the same as formatting every cell.  The
 reader hands the body to numpy's C parser instead of calling ``float()``
-per cell; the values are the same.
+per cell; the values are the same.  The writer also takes a matrix as an
+iterator of row blocks, which ``cssnmf ingest`` uses to write a text
+matrix that never exists whole; every row goes through the same
+formatter, so the bytes do not depend on the blocks.  A header whose
+every name reads as a number is refused, since the reader would take it
+for a data row.
 """
 
 import csv
 import json
 import re
 from collections import Counter
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -37,9 +43,20 @@ def format_float(v):
     return repr(float(v))
 
 
-def _write_matrix(path, X, header):
-    """Write ``header`` and the rows of the 2-D array ``X``, formatting only
-    the entries whose bit pattern is not ``+0.0``."""
+def _next_block(blocks):
+    """The next row block as a float matrix, or None when there is none."""
+    X = next(blocks, None)
+    if X is None:
+        return None
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {X.shape}")
+    return X
+
+
+def _write_rows(fh, X):
+    """Write the rows of the 2-D array ``X``, formatting only the entries
+    whose bit pattern is not ``+0.0``."""
     n, m = X.shape
     # Comparing bit patterns sends -0.0 and NaN through repr like any other
     # nonzero; only +0.0 takes the literal.
@@ -48,30 +65,53 @@ def _write_matrix(path, X, header):
     cols = cols.tolist()
     ends = np.searchsorted(rows, np.arange(1, n + 1)).tolist()
     zeros = ["0.0"] * m
+    start = 0
+    for end in ends:
+        line = zeros.copy()
+        for j, cell in zip(cols[start:end], cells[start:end]):
+            line[j] = cell
+        fh.write(",".join(line) + "\n")
+        start = end
+
+
+def _write_matrix(path, blocks, header):
+    """Write ``header`` and the rows of an iterator of row blocks; the
+    header is checked against the first block before the file is opened."""
+    block = _next_block(blocks)
+    if block is None and header is None:
+        raise ValueError("no row blocks to write and no header")
+    m = len(header) if block is None else block.shape[1]
+    if header is None:
+        header = [f"x{j}" for j in range(m)]
+    if len(header) != m:
+        raise ValueError(f"header has {len(header)} names for {m} columns")
+    if header and _is_numeric_row(header):
+        raise ValueError(f"{path}: every column name reads as a number, so the header "
+                         "would be read back as a data row")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        start = 0
-        for end in ends:
-            line = zeros.copy()
-            for j, cell in zip(cols[start:end], cells[start:end]):
-                line[j] = cell
-            fh.write(",".join(line) + "\n")
-            start = end
+        while block is not None:
+            if block.shape[1] != m:
+                raise ValueError(f"row block has {block.shape[1]} columns, expected {m}")
+            _write_rows(fh, block)
+            # Let go of this block before the next one is built.
+            block = None
+            block = _next_block(blocks)
 
 
 def save_matrix_csv(path, X, header=None):
     """Write a dense matrix, one CSV row per matrix row.
 
-    ``header`` is a list of column names (defaults to ``x0..x{m-1}``).
+    ``X`` is a matrix, or an iterator over its row blocks in order (2-D
+    arrays of equal width), so a caller can write a matrix that never
+    exists whole; the bytes are the same either way.  A block of the wrong
+    width raises after the rows before it were written.
+
+    ``header`` is a list of column names (defaults to ``x0..x{m-1}``).  A
+    header whose every name reads as a number is refused, because
+    :func:`load_matrix_csv` would read it as a data row.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {X.shape}")
-    if header is None:
-        header = [f"x{j}" for j in range(X.shape[1])]
-    if len(header) != X.shape[1]:
-        raise ValueError(f"header has {len(header)} names for {X.shape[1]} columns")
-    _write_matrix(path, X, header)
+    _write_matrix(path, X if isinstance(X, Iterator) else iter([X]), header)
 
 
 def _is_numeric_row(cells):
@@ -94,7 +134,7 @@ def load_matrix_csv(path):
 
     Returns ``(X, header)`` with ``header`` None when the file starts with
     data.  A header made entirely of numeric-looking terms would be
-    misread; the writers here always emit at least one non-numeric name.
+    misread; the writers here refuse to write one.
     Blank and whitespace-only lines are skipped.  Errors name the path and
     the 1-based line of the file.
 
@@ -147,7 +187,7 @@ def save_vector_csv(path, y, name="y"):
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"expected a vector, got shape {y.shape}")
-    _write_matrix(path, y[:, None], [name])
+    _write_matrix(path, iter([y[:, None]]), [name])
 
 
 def load_vector_csv(path):

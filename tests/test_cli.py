@@ -612,6 +612,23 @@ def test_ingest_flags_zero_rows(runner, tmp_path):
     assert "zero rows" in res.stderr and "d" in res.stderr
 
 
+def test_ingest_refuses_an_all_numeric_vocabulary_before_writing(runner, tmp_path):
+    # X.csv's header would read back as a data row.
+    corpus_path = tmp_path / "c.csv"
+    corpus_path.write_text(
+        "id,text,rating\n"
+        "a,10 20 10,1\n"
+        "b,20 30,2\n"
+        "c,30 10 40,3\n"
+        "d,40 10,4\n"
+    )
+    out = tmp_path / "ing"
+    res = invoke(runner, ["--out", out, "ingest", corpus_path, "--min-df", 0, "--max-df", 1])
+    assert res.exit_code == 3
+    assert "every column name reads as a number" in res.stderr
+    assert not any(out.iterdir())
+
+
 def test_ingest_balance_is_seeded(runner, tmp_path):
     corpus_path = tmp_path / "c.csv"
     lines = ["id,text,rating"]

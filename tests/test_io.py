@@ -120,6 +120,43 @@ def test_writer_validation(tmp_path):
         save_vector_csv(tmp_path / "a.csv", np.zeros((2, 2)))
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    n=st.integers(0, 9),
+    m=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    cuts=st.lists(st.integers(0, 9), max_size=5),
+)
+def test_writer_bytes_do_not_depend_on_row_blocks(tmp_path_factory, n, m, seed, cuts):
+    # Cuts may repeat or sit at either end, which makes empty blocks.
+    tmp_path = tmp_path_factory.mktemp("w")
+    X = random_bit_matrix(n, m, seed, zero_frac=0.5)
+    bounds = [0] + sorted(min(c, n) for c in cuts) + [n]
+    blocks = (X[a:b] for a, b in zip(bounds, bounds[1:]))
+    assert written(tmp_path, save_matrix_csv, blocks, name="blocks.csv") == \
+        written(tmp_path, save_matrix_csv, X, name="whole.csv")
+
+
+def test_writer_block_validation(tmp_path):
+    assert written(tmp_path, save_matrix_csv, iter([]), header=["a", "b"]) == b"a,b\n"
+    with pytest.raises(ValueError, match="no row blocks to write and no header"):
+        save_matrix_csv(tmp_path / "a.csv", iter([]))
+    with pytest.raises(ValueError, match="row block has 3 columns, expected 2"):
+        save_matrix_csv(tmp_path / "a.csv", iter([np.ones((1, 2)), np.ones((1, 3))]))
+    with pytest.raises(ValueError, match="expected a matrix"):
+        save_matrix_csv(tmp_path / "a.csv", iter([np.ones((1, 2)), np.ones(2)]))
+
+
+@pytest.mark.parametrize("header", [["10", "20"], ["1e5"], ["nan", "inf", "-0.5"]])
+def test_writer_refuses_a_header_that_reads_as_numbers(tmp_path, header):
+    path = tmp_path / "a.csv"
+    with pytest.raises(ValueError, match="every column name reads as a number"):
+        save_matrix_csv(path, np.ones((1, len(header))), header=header)
+    assert not path.exists()
+    save_matrix_csv(path, np.ones((1, len(header))), header=header[:-1] + ["x"])
+    assert load_matrix_csv(path)[1] == header[:-1] + ["x"]
+
+
 def test_vector_writer_bytes(tmp_path):
     save_vector_csv(tmp_path / "y.csv", [0.0, -0.0, 2.5, np.nan], name="rating")
     assert (tmp_path / "y.csv").read_bytes() == b"rating\n0.0\n-0.0\n2.5\nnan\n"
