@@ -150,7 +150,7 @@ def ingest(obj, corpus, min_df, max_df, stopwords, lowercase, balance_edges, rat
     fields.
     """
     bounds = _parse_float_list(rating_range, "--rating-range")
-    if len(bounds) != 2 or bounds[0] >= bounds[1]:
+    if len(bounds) != 2 or not bounds[0] < bounds[1]:
         raise click.UsageError(f"--rating-range must be lo,hi with lo < hi, got {rating_range!r}")
     rc = load_corpus(corpus, rating_range=tuple(bounds))
     if balance_edges is not None:

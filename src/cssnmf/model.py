@@ -94,15 +94,7 @@ class FitConfig:
 
 @dataclass
 class FitReport:
-    """Per-run record: trace rows are ``(iteration, F, N, R)``.
-
-    ``block_steps`` maps each block (``"W"``, ``"H"``, ``"theta"``) to its
-    ``(accepted, rejected)`` step counts; the ``theta`` block steps only
-    while ``lam > 0``.  ``warm_starts`` maps ``"W"`` and ``"H"`` to
-    ``(kept, solved)``: of the rows of ``W`` (columns of ``H``) solved, how
-    many ended on the support of their warm start.  The counts are not
-    written to the model file.
-    """
+    """Per-run record: trace rows are ``(iteration, F, N, R)``."""
 
     objective_trace: list
     final_objective: float
@@ -110,8 +102,6 @@ class FitReport:
     converged: bool
     restart_index: int
     warnings: list = field(default_factory=list)
-    block_steps: dict = field(default_factory=dict)
-    warm_starts: dict = field(default_factory=dict)
 
 
 def _check_shapes(X, Y, W, H, theta):
@@ -269,48 +259,30 @@ def _fit_once(X, Y, cfg, seed, restart_index):
 
     F, N, R = objective(Factorization(W, H, theta), X, Y, lam)
     trace = [(0, F, N, R)]
-    steps = {"W": [0, 0], "H": [0, 0], "theta": [0, 0]}
-    warm = {"W": [0, 0], "H": [0, 0]}
-
-    def accept(block, N_new, R_new):
-        """Keep the stored terms of a step that does not raise ``F``."""
-        nonlocal F, N, R
-        F_new = N_new + lam * R_new
-        ok = F_new <= F
-        if ok:
-            F, N, R = F_new, N_new, R_new
-        steps[block][0 if ok else 1] += 1
-        return ok
-
-    def count_warm(block, warm_set, support, axis):
-        """Count the rows/columns whose solve ended on its warm set."""
-        warm[block][0] += int(np.count_nonzero((warm_set == support).all(axis=axis)))
-        warm[block][1] += support.shape[1 - axis]
-
-    err = np.inf
     rel_err = np.inf
-    it = 0
-    while rel_err > cfg.tau and it < cfg.max_iter:
+    while rel_err > cfg.tau and len(trace) <= cfg.max_iter:
         # At extreme lam the augmented system can overflow.  A non-finite
         # Gram or cross product makes nnls_multi raise ValueError, which
         # fails the restart; a finite W_new whose trial residual overflows
-        # compares False in accept and is rejected.  Either way the IEEE
+        # compares False below and is rejected.  Either way the IEEE
         # warnings carry no information here.
         with np.errstate(over="ignore", invalid="ignore"):
             W_new = update_w(X, Y, H, theta, lam, W)
-            count_warm("W", W > 0, W_new > 0, axis=1)
-            if accept("W", _recon_error(X, W_new, H), _regress_error(Y, W_new, theta)):
-                W = W_new
+            N_new, R_new = _recon_error(X, W_new, H), _regress_error(Y, W_new, theta)
+            if (F_new := N_new + lam * R_new) <= F:
+                W, F, N, R = W_new, F_new, N_new, R_new
 
         H_new = update_h(X, W, H_warm)
-        count_warm("H", H_warm > EPS_H, H_new > EPS_H, axis=0)
-        if accept("H", _recon_error(X, W, H_new), R):
+        N_new = _recon_error(X, W, H_new)
+        if (F_new := N_new + lam * R) <= F:
             H = H_warm = H_new
+            F, N = F_new, N_new
 
         if lam > 0:
             theta_new = update_theta(W, Y)
-            if accept("theta", N, _regress_error(Y, W, theta_new)):
-                theta = theta_new
+            R_new = _regress_error(Y, W, theta_new)
+            if (F_new := N + lam * R_new) <= F:
+                theta, F, R = theta_new, F_new, R_new
 
         fac = normalize(Factorization(W, H, theta))
         W, H, theta = fac.W, fac.H, fac.theta
@@ -321,12 +293,11 @@ def _fit_once(X, Y, cfg, seed, restart_index):
             )
         F = F_norm
 
-        err_temp = F
-        if err < np.inf:
-            rel_err = 0.0 if err == 0.0 else abs(err - err_temp) / err
-        err = err_temp
-        it += 1
-        trace.append((it, F, N, R))
+        # The stopping test starts at the second iteration, from a finite F.
+        F_prev = trace[-1][1]
+        if len(trace) > 1 and F_prev < np.inf:
+            rel_err = 0.0 if F_prev == 0.0 else abs(F_prev - F) / F_prev
+        trace.append((len(trace), F, N, R))
 
     if lam == 0:
         # Regression is decoupled: fit theta once against the settled weights.
@@ -334,16 +305,14 @@ def _fit_once(X, Y, cfg, seed, restart_index):
         # unchanged, only R moves off the random initial theta.
         theta = update_theta(W, Y)
         F, N, R = objective(Factorization(W, H, theta), X, Y, lam)
-        trace[-1] = (it, F, N, R)
+        trace[-1] = (trace[-1][0], F, N, R)
 
     report = FitReport(
         objective_trace=trace,
         final_objective=trace[-1][1],
-        iterations_run=it,
+        iterations_run=len(trace) - 1,
         converged=bool(rel_err <= cfg.tau),
         restart_index=restart_index,
-        block_steps={block: tuple(c) for block, c in steps.items()},
-        warm_starts={block: tuple(c) for block, c in warm.items()},
     )
     return Factorization(W, H, theta), report
 

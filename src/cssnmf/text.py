@@ -380,6 +380,8 @@ def load_corpus(path, rating_range=None, require_rating=True):
                     obj = json.loads(line)
                 except json.JSONDecodeError as err:
                     raise ValueError(f"{path}: line {k} is not valid JSON: {err}") from None
+                if not isinstance(obj, dict):
+                    raise ValueError(f"{path}: line {k} is not a JSON object")
                 entries.append(_entry_from_record(obj, path, k, require_rating))
     else:
         with open(path, "r", encoding="utf-8", newline="") as fh:

@@ -5,6 +5,7 @@ passing runs too (pytest hides captured stdout for passing tests by default).
 """
 
 import csv
+import hashlib
 import json
 import time
 
@@ -17,7 +18,7 @@ from conftest import brute_force_nnls
 from cssnmf.cli import main
 from cssnmf.linalg import nnls
 from cssnmf.model import Factorization, FitConfig, fit, normalize, objective
-from cssnmf.sweep import SweepSpec, run_sweep
+from cssnmf.sweep import SweepSpec, run_sweep, write_sweep_csv
 from cssnmf.synthetic import SyntheticConfig, generate
 from cssnmf.text import RatedCorpus, RatedDocument, balance, interval_index
 
@@ -186,6 +187,18 @@ def test_c11_coupling_beats_two_stage_on_heldout(lambda_study):
     assert verdict(ok, 11, f"best coupled held-out MSE {coupled[best_lam]:.2f} "
                            f"(lambda={best_lam:g}) is below the two-stage "
                            f"lambda=0 value {two_stage:.2f}"), coupled
+
+
+# The sweep.csv that `cssnmf --seed 0 synth` followed by `cssnmf --seed 0 sweep
+# X.csv Y.csv --r 4 --lambdas 0,0.01,0.1,1,10,100,1000,10000 --restarts 50`
+# writes: the lambda study, byte for byte.
+LAMBDA_STUDY_SWEEP_SHA256 = "3b17ebca3587e2e8379f9f2764a6e1ba47aa49ea4ce72b68961f27ace0cdd83c"
+
+
+def test_lambda_study_sweep_csv_is_pinned(lambda_study, tmp_path):
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, lambda_study)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LAMBDA_STUDY_SWEEP_SHA256
 
 
 # ------------------------------------------------------------ normalization

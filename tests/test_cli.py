@@ -663,6 +663,24 @@ def test_ingest_rejects_out_of_range_rating(runner, tmp_path):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("bounds", ["5,1", "nan,5"])
+def test_ingest_refuses_a_rating_range_that_is_not_ascending(runner, tmp_path, bounds):
+    corpus_path = tmp_path / "c.csv"
+    corpus_path.write_text("id,text,rating\na,apple,4\n")
+    res = runner.invoke(main, ["--out", str(tmp_path / "i"), "ingest", str(corpus_path),
+                               "--rating-range", bounds])
+    assert res.exit_code == 2
+    assert "--rating-range must be lo,hi with lo < hi" in res.stderr
+
+
+def test_ingest_refuses_a_json_lines_record_that_is_not_an_object(runner, tmp_path):
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_text('{"id": "a", "text": "apple", "rating": 4}\n[1, 2]\n')
+    res = runner.invoke(main, ["--out", str(tmp_path / "i"), "ingest", str(corpus_path)])
+    assert res.exit_code == 3
+    assert "line 2 is not a JSON object" in res.stderr
+
+
 def test_predict_accepts_ratings_outside_the_ingest_default_range(runner, tmp_path):
     # The rating range is an ingest setting: predict groups any rating by --edges.
     words = "apple banana cherry damson elder fig grape".split()

@@ -331,6 +331,15 @@ def test_fit_trace_is_monotone_and_consistent():
     assert np.allclose(fac.H.sum(axis=1), 1.0, atol=1e-9)
 
 
+def test_fit_stopping_test_starts_at_the_second_iteration():
+    # All-zero X at lam = 0: F is 0 from the start, so the relative change
+    # reads 0 as soon as it is taken, which is after iteration 2.
+    _, report = fit(np.zeros((4, 3)), np.arange(4.0),
+                    FitConfig(r=2, lam=0.0, max_iter=10, restarts=1))
+    assert [row[1] for row in report.objective_trace] == [0.0, 0.0, 0.0]
+    assert report.iterations_run == 2 and report.converged
+
+
 def test_fit_lambda_zero_fits_theta_once_at_the_end():
     ds = generate(SyntheticConfig(n=15, m=8, r_true=2, M=5.0, eta_x=1.0, eta_y=1.0, seed=14))
     fac, report = fit(ds.X, ds.Y, FitConfig(r=2, lam=0.0, tau=1e-6, max_iter=50, seed=3, restarts=2))
@@ -423,9 +432,7 @@ def assert_fits_equal(got, want):
     assert np.array_equal(fac.W, ref_fac.W)
     assert np.array_equal(fac.H, ref_fac.H)
     assert np.array_equal(fac.theta, ref_fac.theta)
-    assert report.objective_trace == ref_report.objective_trace
-    assert (report.iterations_run, report.converged, report.restart_index) == \
-        (ref_report.iterations_run, ref_report.converged, ref_report.restart_index)
+    assert report == ref_report
 
 
 @pytest.mark.parametrize("kind", ["dense", "text", "fortran"])
@@ -457,32 +464,68 @@ def test_fit_with_rejected_steps_matches_reference_fit_loop(monkeypatch):
     assert_fits_equal(got, fit(X, Y, REJECTING_FIT))
 
 
+def spy_fit_steps(monkeypatch):
+    """Record every block update's inputs and result, and every normalization.
+
+    Returns a list that fills with ``(name, args, result)`` in call order,
+    ``name`` being ``"update_w"``, ``"update_h"``, ``"update_theta"`` or
+    ``"normalize"``.
+    """
+    calls = []
+
+    def spy(name):
+        original = getattr(cssnmf.model, name)
+
+        def recording(*args):
+            result = original(*args)
+            calls.append((name, args, result))
+            return result
+
+        monkeypatch.setattr(cssnmf.model, name, recording)
+
+    for name in ("update_w", "update_h", "update_theta", "normalize"):
+        spy(name)
+    return calls
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1e4])
-def test_fit_counts_every_block_step(lam):
+def test_fit_counts_every_block_step(monkeypatch, lam):
     ds = generate(SyntheticConfig(n=25, m=12, r_true=3, M=10.0, eta_x=2.0, eta_y=2.0, seed=13))
+    calls = spy_fit_steps(monkeypatch)
     _, report = fit(ds.X, ds.Y, FitConfig(r=3, lam=lam, tau=1e-6, max_iter=60, seed=2,
-                                          restarts=2))
-    assert set(report.block_steps) == {"W", "H", "theta"}
-    for block, (accepted, rejected) in report.block_steps.items():
-        expected = 0 if block == "theta" and lam == 0 else report.iterations_run
-        assert accepted + rejected == expected, block
-    # Every iteration solves all n rows of W and all m columns of H.
-    assert set(report.warm_starts) == {"W", "H"}
-    for block, size in (("W", ds.X.shape[0]), ("H", ds.X.shape[1])):
-        kept, solved = report.warm_starts[block]
-        assert 0 <= kept <= solved == report.iterations_run * size, block
+                                          restarts=1))
+    it = report.iterations_run
+    names = [name for name, _, _ in calls]
+    # One W and one H step per iteration, a theta step while lam > 0, and
+    # at lam = 0 one theta fit at the end.
+    assert names.count("update_w") == names.count("update_h") == it
+    assert names.count("update_theta") == (it if lam > 0 else 1)
+    # Every W step solves all n rows and every H step all m columns.
+    n, m = ds.X.shape
+    assert all(res.shape == (n, 3) for name, _, res in calls if name == "update_w")
+    assert all(res.shape == (3, m) for name, _, res in calls if name == "update_h")
 
 
-def test_fit_counts_rejected_steps_of_every_block(tmp_path):
+def test_fit_counts_rejected_steps_of_every_block(monkeypatch):
+    # A kept step hands its own result on: the W step's to the next H step,
+    # the H step's as the next H step's warm start, the theta step's to the
+    # normalization.
     X, Y = exact_rank_two_data()
-    fac, report = fit(X, Y, REJECTING_FIT)
-    for block, (accepted, rejected) in report.block_steps.items():
-        assert accepted + rejected == report.iterations_run
-        assert rejected >= 1, block
-    # The counts describe the run, not the model: the model file leaves them out.
-    save_model(tmp_path / "model.json", fac, REJECTING_FIT, report)
-    text = (tmp_path / "model.json").read_text()
-    assert "block" not in text and "warm" not in text
+    calls = spy_fit_steps(monkeypatch)
+    fit(X, Y, REJECTING_FIT)
+    kept = {"W": [], "H": [], "theta": []}
+    last = {}
+    for name, args, result in calls:
+        if name == "update_h":
+            kept["W"].append(args[1] is last["update_w"])
+            if "update_h" in last:
+                kept["H"].append(args[2] is last["update_h"])
+        elif name == "normalize":
+            kept["theta"].append(args[0].theta is last["update_theta"])
+        last[name] = result
+    for block, decisions in kept.items():
+        assert False in decisions, block  # at least one step was rejected
+        assert True in decisions, block
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
@@ -541,9 +584,8 @@ def test_h_warm_start_is_the_last_accepted_support(monkeypatch):
     # start must still leave it out.
     ds = generate(SyntheticConfig(n=60, m=30, r_true=4, M=10.0, eta_x=2.0, eta_y=2.0, seed=1))
     solves, singles = spy_h_solves(monkeypatch, ds.X.shape[1])
-    _, report = fit(ds.X, ds.Y, FitConfig(r=11, lam=0.0, tau=1e-8, max_iter=30, seed=2,
-                                          restarts=1))
-    assert report.block_steps["H"] == (30, 0)  # every H step is accepted
+    fit(ds.X, ds.Y, FitConfig(r=11, lam=0.0, tau=1e-8, max_iter=30, seed=2, restarts=1))
+    assert len(solves) == 30  # every iteration ran
     lifted = 0
     for (_, _, _, prev), (_, _, warm, _) in zip(solves, solves[1:]):
         H_prev = np.maximum(prev, EPS_H)  # the accepted H_new, floored

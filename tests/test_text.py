@@ -386,6 +386,11 @@ def test_load_corpus_errors(tmp_path):
     bad_json.write_text("{not json}\n")
     with pytest.raises(ValueError):
         load_corpus(bad_json)
+    for record in ("[1, 2]", "5"):
+        not_object = tmp_path / "n.jsonl"
+        not_object.write_text('{"id": "a", "text": "fine", "rating": 3}\n' + record + "\n")
+        with pytest.raises(ValueError, match="n.jsonl: line 2 is not a JSON object"):
+            load_corpus(not_object)
     empty = tmp_path / "e.csv"
     empty.write_text("id,text,rating\n")
     with pytest.raises(ValueError):
