@@ -66,6 +66,15 @@ def _outdir(obj):
     return out
 
 
+def _config(make, **options):
+    """``make(**options)``, with a refused value reported as a usage error
+    (exit 2); commands call it before they read any input file."""
+    try:
+        return make(**options)
+    except ValueError as err:
+        raise click.UsageError(str(err)) from None
+
+
 def _parse_float_list(text, what):
     try:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
@@ -152,12 +161,13 @@ def ingest(obj, corpus, min_df, max_df, stopwords, lowercase, balance_edges, rat
     bounds = _parse_float_list(rating_range, "--rating-range")
     if len(bounds) != 2 or not bounds[0] < bounds[1]:
         raise click.UsageError(f"--rating-range must be lo,hi with lo < hi, got {rating_range!r}")
+    edges = None if balance_edges is None else _parse_edges(balance_edges, "--balance-edges")
+    cfg = _config(TfidfConfig, min_df=min_df, max_df=max_df, stopwords=stopwords,
+                  lowercase=lowercase)
     rc = load_corpus(corpus, rating_range=tuple(bounds))
-    if balance_edges is not None:
-        edges = _parse_edges(balance_edges, "--balance-edges")
+    if edges is not None:
         rc = balance(rc, edges, obj["seed"])
         click.echo(f"balanced to {len(rc)} documents over {len(edges) - 1} intervals")
-    cfg = TfidfConfig(min_df=min_df, max_df=max_df, stopwords=stopwords, lowercase=lowercase)
     dtm = build_tfidf(rc, cfg)
     out = _outdir(obj)
     save_matrix_csv(out / "X.csv", dtm.blocks(), header=list(dtm.vocab.terms))
@@ -192,6 +202,8 @@ def ingest(obj, corpus, min_df, max_df, stopwords, lowercase, balance_edges, rat
 @_mapped
 def fit_cmd(obj, x_path, y_path, r, lam, tau, max_iter, restarts, vectorizer):
     """Fit one model: model.json plus objective_trace.csv."""
+    cfg = _config(FitConfig, r=r, lam=lam, tau=tau, max_iter=max_iter,
+                  seed=obj["seed"], restarts=restarts)
     X, header = load_matrix_csv(x_path)
     Y = load_vector_csv(y_path)
     vocab = idf = tf_cfg = None
@@ -203,8 +215,6 @@ def fit_cmd(obj, x_path, y_path, r, lam, tau, max_iter, restarts, vectorizer):
             )
         if header is not None and tuple(header) != vocab.terms:
             raise ValueError(f"{x_path}: header is not the vocabulary of {vectorizer}, in order")
-    cfg = FitConfig(r=r, lam=lam, tau=tau, max_iter=max_iter,
-                    seed=obj["seed"], restarts=restarts)
     fac, report = fit_model(X, Y, cfg)
     out = _outdir(obj)
     save_model(
@@ -246,13 +256,12 @@ def fit_cmd(obj, x_path, y_path, r, lam, tau, max_iter, restarts, vectorizer):
 def sweep(obj, x_path, y_path, r_list, lambdas, restarts, train_frac,
           split_seed, fit_seed, tau, max_iter, fig_filter):
     """Fit an (r, lambda) grid and write sweep.csv."""
-    X, _ = load_matrix_csv(x_path)
-    Y = load_vector_csv(y_path)
     if lambdas in LAMBDA_GRIDS:
         lam_values = lambda_grid(lambdas)
     else:
         lam_values = _parse_float_list(lambdas, "--lambdas")
-    spec = SweepSpec(
+    spec = _config(
+        SweepSpec,
         r_values=tuple(_parse_int_list(r_list, "--r")),
         lambda_values=tuple(lam_values),
         restarts=restarts,
@@ -262,6 +271,8 @@ def sweep(obj, x_path, y_path, r_list, lambdas, restarts, train_frac,
         tau=tau,
         max_iter=max_iter,
     )
+    X, _ = load_matrix_csv(x_path)
+    Y = load_vector_csv(y_path)
     cells = run_sweep(X, Y, spec)
     out = _outdir(obj)
     write_sweep_csv(out / "sweep.csv", cells)
@@ -334,9 +345,11 @@ def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
             y_true = [float(v) for v in ratings]
         y_hats, W = predict_many(model.H, model.theta, X)
     out = _outdir(obj)
-    write_table(out / "predictions.csv",
-                ["id", "y_hat"] + [f"w_{k}" for k in range(1, W.shape[1] + 1)],
-                ([doc_id, y_hat, *w] for doc_id, y_hat, w in zip(ids, y_hats, W)))
+    header = ["id", "y_hat"] + [f"w_{k}" for k in range(1, W.shape[1] + 1)]
+    # As Python floats, so that no numpy scalar is made per cell.
+    y_hats = y_hats.tolist()
+    write_table(out / "predictions.csv", header,
+                ([doc_id, y_hat, *w] for doc_id, y_hat, w in zip(ids, y_hats, W.tolist())))
     click.echo(str(out / "predictions.csv"))
 
     rated = [(y, y_hat) for y, y_hat in zip(y_true, y_hats) if y is not None]

@@ -5,10 +5,11 @@ Floats are written with ``repr``, which round-trips exactly, so equal
 values give byte-identical files.  Line endings are always ``"\\n"``.
 
 Text matrices are mostly zeros, so the matrix writer formats only the
-nonzero entries and writes the literal ``0.0`` (which is ``repr(0.0)``)
-for the rest; the bytes are the same as formatting every cell.  The
-reader hands the body to numpy's C parser instead of calling ``float()``
-per cell; the values are the same.  The writer also takes a matrix as an
+nonzero entries and takes the literal ``0.0`` (which is ``repr(0.0)``)
+for the rest from slices of one precomputed all-zero line; the bytes are
+the same as formatting every cell.  The reader hands the body to numpy's
+C parser instead of calling ``float()`` per cell; the values are the
+same.  The writer also takes a matrix as an
 iterator of row blocks, which ``cssnmf ingest`` uses to write a text
 matrix that never exists whole; every row goes through the same
 formatter, so the bytes do not depend on the blocks.  A header whose
@@ -56,21 +57,30 @@ def _next_block(blocks):
 
 def _write_rows(fh, X):
     """Write the rows of the 2-D array ``X``, formatting only the entries
-    whose bit pattern is not ``+0.0``."""
+    whose bit pattern is not ``+0.0``.
+
+    Every line is cut from one all-zero line, in which column ``j``'s cell
+    starts at offset ``4 * j``: the zeros between two formatted cells are
+    one slice of it.  Lines are written one at a time, so no more than one
+    line of text exists at once.
+    """
     n, m = X.shape
     # Comparing bit patterns sends -0.0 and NaN through repr like any other
     # nonzero; only +0.0 takes the literal.
     rows, cols = np.nonzero(np.ascontiguousarray(X).view(np.int64))
-    cells = [repr(v) for v in X[rows, cols].tolist()]
-    cols = cols.tolist()
+    cells = list(map(repr, X[rows, cols].tolist()))
+    offsets = (4 * cols).tolist()
     ends = np.searchsorted(rows, np.arange(1, n + 1)).tolist()
-    zeros = ["0.0"] * m
+    zero_line = "0.0," * (m - 1) + "0.0\n" if m else "\n"
     start = 0
     for end in ends:
-        line = zeros.copy()
-        for j, cell in zip(cols[start:end], cells[start:end]):
-            line[j] = cell
-        fh.write(",".join(line) + "\n")
+        parts = []
+        after = 0
+        for offset, cell in zip(offsets[start:end], cells[start:end]):
+            parts += zero_line[after:offset], cell
+            after = offset + 3
+        parts.append(zero_line[after:])
+        fh.write("".join(parts))
         start = end
 
 
@@ -199,13 +209,16 @@ def load_vector_csv(path):
 
 
 def write_table(path, header, rows):
-    """Write ``header`` and ``rows`` as CSV: ``float`` cells through
-    :func:`format_float`, any other cell as :mod:`csv` writes it (quoted,
-    RFC 4180, when it holds a comma, a double quote or a line break)."""
+    """Write ``header`` and ``rows`` as CSV: ``float`` cells as
+    :func:`format_float` spells them, any other cell as :mod:`csv` writes it
+    (quoted, RFC 4180, when it holds a comma, a double quote or a line
+    break)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([format_float(v) if isinstance(v, float) else v for v in row]
+        # float.__repr__ is format_float without a Python call per cell; it
+        # spells a numpy float64, a float subclass, as the float it holds.
+        writer.writerows([float.__repr__(v) if isinstance(v, float) else v for v in row]
                          for row in rows)
 
 

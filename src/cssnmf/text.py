@@ -8,10 +8,12 @@ weights to raw term counts, and l1-normalizes each document row.  The
 stopword list ships with the package as a versioned data file so results
 are reproducible across installations.
 
-Text rows live as term counts.  Each document is counted on its own
-(stopwords are dropped per distinct term, not per token), and a corpus
-keeps the counts as CSR arrays: at the 3 % density of the benchmark's
-corpora, about a fifteenth of the dense matrix.  Dense rows are built
+Text rows live as term counts.  Each document is lowercased and split on
+its own; the tokens of every document then map to columns in one pass,
+stopwords and unknown terms to -1, which is never counted, and numpy
+counts the (document, column) pairs.  A corpus keeps the counts as CSR
+arrays: at the 3 % density of the benchmark's corpora, about a fifteenth
+of the dense matrix.  Dense rows are built
 ``BLOCK_ROWS`` documents at a time, so ``cssnmf ingest`` writes ``X.csv``
 and ``cssnmf predict`` scores text without holding a dense matrix of the
 whole corpus.  :func:`tokenize` stays the public per-document tokenizer;
@@ -23,12 +25,10 @@ import csv
 import json
 import math
 import re
-from array import array
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from importlib import resources
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -62,8 +62,9 @@ STOPWORD_LISTS = ("english", "none")
 # widest text matrix the benchmark writes (1,185 terms) takes 9.7 MB, a
 # third of its whole 3,000-document matrix.  Smaller blocks would cost
 # time: text ``predict`` scores each block in one batched solve, and on a
-# 2-core Xeon host scoring those 3,000 documents took 78 ms in 256-row
-# blocks, 67-74 ms in 1,024-row blocks and 69 ms in a single call.
+# 2-core Xeon host scoring those 3,000 documents took 76 ms in 256-row
+# blocks, 71 ms in 1,024-row blocks and 68 ms in a single call (medians
+# of 25).
 BLOCK_ROWS = 1024
 
 
@@ -204,35 +205,46 @@ def tokenize(text, cfg):
 
 
 class _NewColumns(dict):
-    """Term -> column for a corpus whose vocabulary is not known yet: an
-    unseen term takes the next column, so the keys are in column order."""
+    """Term -> column for a corpus whose vocabulary is not known yet.
+
+    Stopwords map to -1; any other unseen term takes the next column, and
+    :attr:`terms` lists the counted terms in column order.
+    """
+
+    def __init__(self, stopwords):
+        super().__init__(dict.fromkeys(stopwords, -1))
+        self.terms = []
 
     def __missing__(self, term):
-        self[term] = j = len(self)
+        self[term] = j = len(self.terms)
+        self.terms.append(term)
         return j
 
 
 def _count_terms(texts, cfg, columns_of):
     """Per-document term counts of ``texts`` as CSR arrays
-    ``(indptr, cols, tfs)``.
+    ``(indptr, cols, tfs)``, columns ascending within each document.
 
-    Each document is counted on its own, so only one document's tokens are
-    alive at a time.  Stopwords are dropped per distinct term, and
-    ``columns_of`` maps the other distinct terms to their columns.
+    Each document is lowercased (when configured) and split on its own.
+    ``columns_of`` maps the tokens of the whole call, in one pass, to their
+    columns, with -1 for stopwords and terms outside the vocabulary; those
+    are never counted.  numpy then counts the (document, column) pairs.
     """
-    stop = stopword_set(cfg.stopwords)
-    indptr = [0]
-    cols = array("q")
-    tfs = array("q")
-    for text in texts:
-        counts = Counter(_TOKEN.findall(text.lower() if cfg.lowercase else text))
-        for term in stop.intersection(counts):
-            del counts[term]
-        cols.extend(columns_of(counts))
-        tfs.extend(counts.values())
-        indptr.append(len(cols))
-    return (np.array(indptr, dtype=np.intp), np.frombuffer(cols, dtype=np.int64),
-            np.frombuffer(tfs, dtype=np.int64))
+    sizes = []
+
+    def tokens():
+        for text in texts:
+            found = _TOKEN.findall(text.lower() if cfg.lowercase else text)
+            sizes.append(len(found))
+            yield found
+
+    cols = np.fromiter(columns_of(chain.from_iterable(tokens())), dtype=np.int64)
+    docs = np.repeat(np.arange(len(sizes)), sizes)
+    known = cols >= 0
+    width = max(int(cols.max(initial=-1)) + 1, 1)
+    pairs, tfs = np.unique(docs[known] * width + cols[known], return_counts=True)
+    docs, cols = np.divmod(pairs, width)
+    return np.searchsorted(docs, np.arange(len(sizes) + 1)), cols, tfs
 
 
 def _drop_unmapped(indptr, cols, tfs):
@@ -269,16 +281,16 @@ def build_tfidf(corpus, cfg):
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
     n = len(corpus)
-    columns = _NewColumns()
+    columns = _NewColumns(stopword_set(cfg.stopwords))
     indptr, cols, tfs = _count_terms((e.text for e in corpus.entries), cfg,
                                      lambda terms: map(columns.__getitem__, terms))
     # A document counts each term once, so a term's df is its entry count.
-    df = np.bincount(cols, minlength=len(columns)).tolist()
+    df = np.bincount(cols, minlength=len(columns.terms)).tolist()
     # The 1e-9 nudges only absorb representation error in the fraction
     # products (e.g. 0.2 * 5 landing a hair above 1.0).
     lo = math.ceil(cfg.min_df * n - 1e-9)
     hi = math.floor(cfg.max_df * n + 1e-9)
-    kept = [t for t, c in zip(columns, df) if lo <= c <= hi]
+    kept = [t for t, c in zip(columns.terms, df) if lo <= c <= hi]
     if not kept:
         raise ValueError(
             f"empty vocabulary: no term has document frequency in [{lo}, {hi}] "
@@ -287,7 +299,7 @@ def build_tfidf(corpus, cfg):
     vocab = Vocabulary.from_terms(sorted(kept))
     idf = np.array([math.log((1 + n) / (1 + df[columns[t]])) + 1.0 for t in vocab.terms])
     # Renumber the counted columns in vocabulary order; dropped terms get -1.
-    renumber = np.full(len(columns), -1, dtype=np.int64)
+    renumber = np.full(len(columns.terms), -1, dtype=np.int64)
     renumber[[columns[t] for t in vocab.terms]] = np.arange(len(vocab))
     indptr, cols, tfs = _drop_unmapped(indptr, renumber[cols], tfs)
     return DocumentTermMatrix(
@@ -311,9 +323,12 @@ def vectorize_many(docs, vocab, cfg, idf):
     idf = np.asarray(idf, dtype=float)
     if idf.shape[0] != len(vocab):
         raise ValueError(f"idf has {idf.shape[0]} entries for {len(vocab)} terms")
-    # Out-of-vocabulary terms take column -1 and are dropped.
-    counts = _count_terms(docs, cfg, lambda terms: map(vocab.index.get, terms, repeat(-1)))
-    return _tfidf_rows(*_drop_unmapped(*counts), idf)
+    # Out-of-vocabulary terms and stopwords, even those in the vocabulary,
+    # take column -1 and are not counted.
+    stop = stopword_set(cfg.stopwords)
+    columns = {**vocab.index, **dict.fromkeys(stop.intersection(vocab.index), -1)}
+    counts = _count_terms(docs, cfg, lambda terms: map(columns.get, terms, repeat(-1)))
+    return _tfidf_rows(*counts, idf)
 
 
 def interval_index(value, edges):
@@ -365,13 +380,14 @@ JSONL_SUFFIXES = (".jsonl", ".ndjson")
 
 def load_corpus(path, rating_range=None, require_rating=True):
     """Read a corpus from CSV (columns id, text, rating) or JSON-lines
-    (objects with the same fields).  The rating field may be absent when
+    (objects with the same fields), in UTF-8 with or without a byte-order
+    mark.  The rating field may be absent when
     ``require_rating`` is false.  When ``rating_range`` is a ``(lo, hi)``
     pair, every present rating must lie in ``[lo, hi]``."""
     path = str(path)
     entries = []
     if path.endswith(JSONL_SUFFIXES):
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for k, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -384,7 +400,7 @@ def load_corpus(path, rating_range=None, require_rating=True):
                     raise ValueError(f"{path}: line {k} is not a JSON object")
                 entries.append(_entry_from_record(obj, path, k, require_rating))
     else:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise ValueError(f"{path}: empty corpus file")
@@ -415,7 +431,7 @@ def is_corpus_file(path):
     """
     if str(path).endswith(JSONL_SUFFIXES):
         return True
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         first = next(reader, [])

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 
 from cssnmf.linalg import DUAL_TOL, ConvergenceError
@@ -11,6 +13,13 @@ from cssnmf.model import (
     update_theta,
     update_w,
 )
+
+
+def csv_rows(path):
+    """The records of a CSV file with a header, as dicts; the file is
+    closed before returning."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 # Reference oracle: the squared Frobenius norm that cssnmf.linalg exported

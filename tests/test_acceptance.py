@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import cssnmf.model
-from conftest import brute_force_nnls
+from conftest import brute_force_nnls, csv_rows
 from cssnmf.cli import main
 from cssnmf.linalg import nnls
 from cssnmf.model import Factorization, FitConfig, fit, normalize, objective
@@ -291,13 +291,13 @@ def test_c10_report_artifacts_have_expected_shape(tmp_path):
 
     problems = []
 
-    rows = list(csv.DictReader((pred / "predictions.csv").open()))
+    rows = csv_rows(pred / "predictions.csv")
     if list(rows[0]) != ["id", "y_hat", "w_1", "w_2", "w_3"]:
         problems.append(f"predictions columns {list(rows[0])}")
     if len(rows) != 48:
         problems.append(f"{len(rows)} prediction rows")
 
-    groups = list(csv.DictReader((pred / "groups.csv").open()))
+    groups = csv_rows(pred / "groups.csv")
     if list(groups[0]) != ["low", "high", "count", "mean_true", "mean_pred"]:
         problems.append(f"groups columns {list(groups[0])}")
     if [g["low"] for g in groups] != ["1.0", "2.0", "3.0", "4.0"]:

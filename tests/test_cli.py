@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import cssnmf.cli
+from conftest import csv_rows
 from cssnmf.cli import main
 from cssnmf.io import load_matrix_csv, load_vector_csv, save_matrix_csv, save_vector_csv
 from cssnmf.linalg import nnls
@@ -184,6 +185,28 @@ def test_unknown_option_is_usage_error(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["fit", "{f}", "{f}", "--r", "0"], "r must be >= 1"),
+    (["fit", "{f}", "{f}", "--r", "2", "--restarts", "0"], "restarts must be >= 1"),
+    (["fit", "{f}", "{f}", "--r", "2", "--tau", "0"], "tau must be > 0"),
+    (["sweep", "{f}", "{f}", "--r", "0", "--lambdas", "0"], "r values must be >= 1"),
+    (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "-1"], "lambda values must be finite"),
+    (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "0", "--train-frac", "1.5"],
+     "train_frac must lie in (0, 1)"),
+    (["ingest", "{f}", "--min-df", "2"], "df bounds must be fractions"),
+])
+def test_out_of_range_options_are_usage_errors_before_any_file_is_read(runner, tmp_path,
+                                                                       args, message):
+    # Read first, this file would be refused as data, with exit 3.
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b\nx,y\n")
+    res = runner.invoke(main, ["--out", str(tmp_path / "o")]
+                        + [str(bad) if a == "{f}" else a for a in args])
+    assert res.exit_code == 2, res.output
+    assert message in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_single_cell_matches_cmd_fit(runner, tmp_path):
@@ -197,7 +220,7 @@ def test_sweep_single_cell_matches_cmd_fit(runner, tmp_path):
                           "--r", 2, "--lambdas", "0.5", "--restarts", 2,
                           "--max-iter", 30, "--tau", 1e-5, "--split-seed", 9])
     assert res.exit_code == 0
-    rows = list(csv.DictReader((tmp_path / "sw" / "sweep.csv").open()))
+    rows = csv_rows(tmp_path / "sw" / "sweep.csv")
     assert len(rows) == 1 and rows[0]["status"] == "ok"
 
     # The same training rows fitted through cmd_fit give the same numbers.
@@ -244,7 +267,7 @@ def test_sweep_on_acceptance_spec_reproduces_pinned_fits(runner, tmp_path):
                           ds_dir / "X.csv", ds_dir / "Y.csv",
                           "--r", 4, "--lambdas", lambdas, "--restarts", 1])
     assert res.exit_code == 0
-    rows = list(csv.DictReader((tmp_path / "sw" / "sweep.csv").open()))
+    rows = csv_rows(tmp_path / "sw" / "sweep.csv")
     assert len(rows) == len(PINNED_ACCEPTANCE_SWEEP)
     for row, (lam, train_mse, final_F, best_restart, iterations, test_mse) in zip(
             rows, PINNED_ACCEPTANCE_SWEEP):
@@ -262,7 +285,7 @@ def test_sweep_richer_rank_wins_on_planted_rank_four_data(runner, tmp_path):
                           "--r", "1,4", "--lambdas", "0,1", "--restarts", 3,
                           "--max-iter", 50])
     assert res.exit_code == 0
-    rows = list(csv.DictReader((tmp_path / "sw" / "sweep.csv").open()))
+    rows = csv_rows(tmp_path / "sw" / "sweep.csv")
     best = {}
     for row in rows:
         r = int(row["r"])
@@ -278,8 +301,8 @@ def test_sweep_figure_filter_writes_second_csv(runner, tmp_path):
                           "--r", 2, "--lambdas", "0,0.1,1e6", "--restarts", 2,
                           "--max-iter", 25, "--figure-filter"])
     assert res.exit_code == 0
-    full = list(csv.DictReader((tmp_path / "sw" / "sweep.csv").open()))
-    shown = list(csv.DictReader((tmp_path / "sw" / "sweep_figure.csv").open()))
+    full = csv_rows(tmp_path / "sw" / "sweep.csv")
+    shown = csv_rows(tmp_path / "sw" / "sweep_figure.csv")
     assert len(full) == 3  # the record always keeps every point
     assert len(shown) <= len(full)
     assert any(float(r["lambda"]) == 0.0 for r in shown)
@@ -334,7 +357,7 @@ def test_predict_empty_document_and_pure_topics(runner, tmp_path):
     save_matrix_csv(tmp_path / "docs.csv", docs)
     res = invoke(runner, ["--out", tmp_path / "p", "predict", model_path, tmp_path / "docs.csv"])
     assert res.exit_code == 0
-    rows = list(csv.DictReader((tmp_path / "p" / "predictions.csv").open()))
+    rows = csv_rows(tmp_path / "p" / "predictions.csv")
     assert [r["id"] for r in rows] == ["0", "1", "2"]
     assert float(rows[0]["y_hat"]) == theta[0]
     assert float(rows[1]["y_hat"]) == theta[0] + theta[1]
@@ -363,11 +386,11 @@ def test_predict_grouped_summary(runner, tmp_path):
     res = invoke(runner, ["--out", tmp_path / "p", "predict", model_path,
                           tmp_path / "docs.csv", "--ratings", tmp_path / "ratings.csv"])
     assert res.exit_code == 0
-    groups = list(csv.DictReader((tmp_path / "p" / "groups.csv").open()))
+    groups = csv_rows(tmp_path / "p" / "groups.csv")
     assert [g["low"] for g in groups] == ["1.0", "2.0", "3.0", "4.0"]
     counts = [int(g["count"]) for g in groups]
     assert counts == [3, 3, 3, 3]  # 5.0 lands in the closed top interval
-    preds = list(csv.DictReader((tmp_path / "p" / "predictions.csv").open()))
+    preds = csv_rows(tmp_path / "p" / "predictions.csv")
     in_first = [float(p["y_hat"]) for p, y in zip(preds, ratings) if 1 <= y < 2]
     assert float(groups[0]["mean_pred"]) == pytest.approx(np.mean(in_first), rel=1e-12)
     assert float(groups[0]["mean_true"]) == pytest.approx(np.mean([1.2, 1.8, 1.1]), rel=1e-12)
@@ -442,7 +465,7 @@ def _predict_rows(runner, out, model_path, docs_path, *options):
                                                 *options]])
     rows = None
     if res.exit_code == 0:
-        rows = list(csv.DictReader((Path(out) / "predictions.csv").open()))
+        rows = csv_rows(Path(out) / "predictions.csv")
     return res, rows
 
 
@@ -528,8 +551,8 @@ def test_text_workflow_ingest_fit_predict_topics(runner, tmp_path):
     res = invoke(runner, ["--out", p_mat, "predict", fit_dir / "model.json", ing / "X.csv",
                           "--ratings", ing / "Y.csv"])
     assert res.exit_code == 0
-    text_rows = list(csv.DictReader((p_text / "predictions.csv").open()))
-    mat_rows = list(csv.DictReader((p_mat / "predictions.csv").open()))
+    text_rows = csv_rows(p_text / "predictions.csv")
+    mat_rows = csv_rows(p_mat / "predictions.csv")
     assert [r["y_hat"] for r in text_rows] == [r["y_hat"] for r in mat_rows]
     assert (p_text / "groups.csv").exists()  # corpus ratings travel inline
 
@@ -647,6 +670,42 @@ def test_ingest_balance_is_seeded(runner, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_ingest_never_gives_a_stopword_a_column(runner, tmp_path):
+    # With min-df 0 a stopword column of document frequency 0 would be kept.
+    corpus_path = tmp_path / "c.csv"
+    corpus_path.write_text("id,text,rating\na,the apple and the pear,2\nb,of the fig,4\n")
+    res = invoke(runner, ["--out", tmp_path / "i", "ingest", corpus_path,
+                          "--min-df", 0, "--max-df", 1])
+    assert res.exit_code == 0
+    doc = json.loads((tmp_path / "i" / "vectorizer.json").read_text())
+    assert doc["vocabulary"] == ["apple", "fig", "pear"]
+
+
+def test_ingest_and_predict_read_a_corpus_with_a_byte_order_mark(runner, tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark.
+    body = "id,text,rating\na,apple banana apple,2\nb,banana cherry,4\nc,cherry apple,3\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(body, encoding="utf-8")
+    marked.write_text(body, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    for name, path in (("ip", plain), ("im", marked)):
+        res = invoke(runner, ["--out", tmp_path / name, "ingest", path, "--min-df", 0,
+                              "--max-df", 1, "--stopwords", "none"])
+        assert res.exit_code == 0, res.output
+    for artifact in ("X.csv", "Y.csv", "vectorizer.json"):
+        assert (tmp_path / "im" / artifact).read_bytes() == \
+            (tmp_path / "ip" / artifact).read_bytes()
+
+    model_path = tmp_path / "model.json"
+    _planted_model(model_path, vocab=["apple", "banana", "cherry", "delta"], idf=[1.0] * 4,
+                   tfidf=NO_STOP_TFIDF)
+    _, plain_rows = _predict_rows(runner, tmp_path / "pp", model_path, plain)
+    res, marked_rows = _predict_rows(runner, tmp_path / "pm", model_path, marked)
+    assert res.exit_code == 0, res.output
+    assert marked_rows == plain_rows and [r["id"] for r in marked_rows] == ["a", "b", "c"]
+    assert (tmp_path / "pm" / "groups.csv").exists()  # read as a corpus, ratings inline
+
+
 def test_ingest_refuses_balance_edges_that_are_not_ascending(runner, tmp_path):
     corpus_path = tmp_path / "c.csv"
     corpus_path.write_text("id,text,rating\na,apple banana,2\nb,banana cherry,4\n")
@@ -708,7 +767,7 @@ def test_predict_accepts_ratings_outside_the_ingest_default_range(runner, tmp_pa
                                str(tmp_path / "fit" / "model.json"), str(tmp_path / "held.csv"),
                                "--edges", "0,5,10"])
     assert res.exit_code == 0, res.output
-    groups = list(csv.DictReader((tmp_path / "p" / "groups.csv").open()))
+    groups = csv_rows(tmp_path / "p" / "groups.csv")
     assert [int(g["count"]) for g in groups] == [3, 7]
     assert sum(int(g["count"]) for g in groups) == len(held)
 

@@ -254,6 +254,53 @@ def test_tfidf_rows_equal_per_document_reference(seed):
     assert np.array_equal(vectorize_many([held_out[0]], dtm.vocab, cfg, dtm.idf)[0], expected[0])
 
 
+# Texts where lowercasing or the token pattern is easy to get wrong.
+EDGE_TEXTS = [
+    "ΟΔΟΣ ΣΟΦΟΣ σοφοσ οδος ΣΑΣ",                 # final and medial sigma
+    "İstanbul DİYARBAKIR İİ istanbul",           # İ lowercases to i + a combining dot
+    "snake_case foo__bar _ab_ a_b 2024 x1 1x 99 9 2024",
+    "",
+    "the and of The THE",                        # stopwords only
+    "   \n\t",
+    "Mixed CASE mixed case Case",
+    "the apple, the pear; the apple!",
+]
+
+
+def reference_rows_and_zeros(texts, vocab, idf, cfg):
+    rows = [row_from_counts_reference(Counter(tokenize(t, cfg)), vocab, idf) for t in texts]
+    return np.array([x for x, _ in rows]), [i for i, (_, zero) in enumerate(rows) if zero]
+
+
+@pytest.mark.parametrize("stopwords", ["english", "none"])
+@pytest.mark.parametrize("lowercase", [True, False])
+@pytest.mark.parametrize("min_df, max_df", [(0.0, 1.0), (0.2, 0.3)])
+def test_counting_equals_per_document_tokenize_on_edge_text(stopwords, lowercase, min_df, max_df):
+    cfg = TfidfConfig(min_df=min_df, max_df=max_df, stopwords=stopwords, lowercase=lowercase)
+    n = len(EDGE_TEXTS)
+    df = Counter(t for text in EDGE_TEXTS for t in set(tokenize(text, cfg)))
+    lo, hi = math.ceil(min_df * n - 1e-9), math.floor(max_df * n + 1e-9)
+    dtm = build_tfidf(corpus_of(EDGE_TEXTS), cfg)
+    assert dtm.vocab.terms == tuple(sorted(t for t, c in df.items() if lo <= c <= hi))
+    assert not set(dtm.vocab.terms) & stopword_set(stopwords)
+    X, zero_rows = reference_rows_and_zeros(EDGE_TEXTS, dtm.vocab, dtm.idf, cfg)
+    assert np.array_equal(dtm.X, X)
+    assert dtm.zero_rows == zero_rows
+    assert np.array_equal(vectorize_many(EDGE_TEXTS, dtm.vocab, cfg, dtm.idf), X)
+
+
+def test_vectorize_never_counts_a_stopword_in_the_vocabulary():
+    # A hand-written model may hold a stopword; the tokenizer drops it.
+    cfg = TfidfConfig(stopwords="english")
+    vocab = Vocabulary.from_terms(["the", "apple", "οδος", "stanbul", "2024", "pear"])
+    idf = np.linspace(1.0, 2.0, len(vocab))
+    X = vectorize_many(EDGE_TEXTS, vocab, cfg, idf)
+    expected, _ = reference_rows_and_zeros(EDGE_TEXTS, vocab, idf, cfg)
+    assert np.array_equal(X, expected)
+    assert not X[:, vocab.index["the"]].any()
+    assert X[:, vocab.index["apple"]].any()
+
+
 def test_vectorize_many_of_no_documents():
     vocab = Vocabulary.from_terms(["apple", "banana"])
     X = vectorize_many([], vocab, NO_STOP, np.ones(2))
