@@ -170,7 +170,7 @@ def ingest(obj, corpus, min_df, max_df, stopwords, lowercase, balance_edges, rat
         click.echo(f"balanced to {len(rc)} documents over {len(edges) - 1} intervals")
     dtm = build_tfidf(rc, cfg)
     out = _outdir(obj)
-    save_matrix_csv(out / "X.csv", dtm.blocks(), header=list(dtm.vocab.terms))
+    save_matrix_csv(out / "X.csv", dtm.sparse_blocks(), header=list(dtm.vocab.terms))
     save_vector_csv(out / "Y.csv", rc.ratings(), name="rating")
     save_vectorizer(out / "vectorizer.json", dtm, cfg)
     click.echo(f"{len(rc)} documents x {len(dtm.vocab)} terms")

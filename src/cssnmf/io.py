@@ -4,17 +4,22 @@ Other modules build rows and dicts; only this one spells them on disk.
 Floats are written with ``repr``, which round-trips exactly, so equal
 values give byte-identical files.  Line endings are always ``"\\n"``.
 
-Text matrices are mostly zeros, so the matrix writer formats only the
-nonzero entries and takes the literal ``0.0`` (which is ``repr(0.0)``)
-for the rest from slices of one precomputed all-zero line; the bytes are
-the same as formatting every cell.  The reader hands the body to numpy's
-C parser instead of calling ``float()`` per cell; the values are the
-same.  The writer also takes a matrix as an
-iterator of row blocks, which ``cssnmf ingest`` uses to write a text
-matrix that never exists whole; every row goes through the same
-formatter, so the bytes do not depend on the blocks.  A header whose
-every name reads as a number is refused, since the reader would take it
-for a data row.
+Text matrices are mostly zeros, so the matrix writer takes each block of
+rows as its entries in row-major order (:class:`SparseRows`) and formats
+only those; every other cell is the literal ``0.0`` (which is
+``repr(0.0)``), cut with its separators from one all-zero line.  numpy
+works out which slice of that line comes before each entry, and a table
+keeps each slice by its bounds, so no Python loop runs per entry.  A dense
+block's entries are those whose bit pattern is not ``+0.0``;
+``cssnmf ingest`` hands over the entries of its term counts, so nothing
+scans for them.  Either way the bytes are the same as formatting every
+cell.  The reader hands the body to numpy's C parser instead of calling
+``float()`` per cell; the values are the same.  The writer takes a matrix
+as an iterator of row blocks, which ``cssnmf ingest`` uses to write a
+text matrix that never exists whole; every block goes through the same
+formatter, so the bytes do not depend on the blocks.  A header whose every
+name reads as a number is refused, since the reader would take it for a
+data row.
 """
 
 import csv
@@ -22,11 +27,13 @@ import json
 import re
 from collections import Counter
 from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "format_float",
+    "SparseRows",
     "save_matrix_csv",
     "load_matrix_csv",
     "save_vector_csv",
@@ -44,53 +51,89 @@ def format_float(v):
     return repr(float(v))
 
 
+class SparseRows(NamedTuple):
+    """A block of matrix rows given by its entries, CSR style: row ``i``'s
+    entries are at the ascending columns ``cols[indptr[i]:indptr[i + 1]]``,
+    with ``values`` at the same positions, and ``indptr[0]`` is 0.  Every
+    entry not listed is ``+0.0``."""
+
+    indptr: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
 def _next_block(blocks):
-    """The next row block as a float matrix, or None when there is none."""
+    """The next row block as ``(SparseRows, width)``: a dense block's width,
+    or None for a :class:`SparseRows` block; ``(None, None)`` when there is
+    none.  A dense block lists the entries whose bit pattern is not
+    ``+0.0``, so -0.0 and NaN go through ``repr`` like any other nonzero."""
     X = next(blocks, None)
-    if X is None:
-        return None
+    if X is None or isinstance(X, SparseRows):
+        return X, None
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {X.shape}")
-    return X
-
-
-def _write_rows(fh, X):
-    """Write the rows of the 2-D array ``X``, formatting only the entries
-    whose bit pattern is not ``+0.0``.
-
-    Every line is cut from one all-zero line, in which column ``j``'s cell
-    starts at offset ``4 * j``: the zeros between two formatted cells are
-    one slice of it.  Lines are written one at a time, so no more than one
-    line of text exists at once.
-    """
-    n, m = X.shape
-    # Comparing bit patterns sends -0.0 and NaN through repr like any other
-    # nonzero; only +0.0 takes the literal.
     rows, cols = np.nonzero(np.ascontiguousarray(X).view(np.int64))
-    cells = list(map(repr, X[rows, cols].tolist()))
-    offsets = (4 * cols).tolist()
-    ends = np.searchsorted(rows, np.arange(1, n + 1)).tolist()
-    zero_line = "0.0," * (m - 1) + "0.0\n" if m else "\n"
-    start = 0
-    for end in ends:
-        parts = []
-        after = 0
-        for offset, cell in zip(offsets[start:end], cells[start:end]):
-            parts += zero_line[after:offset], cell
-            after = offset + 3
-        parts.append(zero_line[after:])
-        fh.write("".join(parts))
-        start = end
+    indptr = np.searchsorted(rows, np.arange(X.shape[0] + 1))
+    return SparseRows(indptr, cols, X[rows, cols]), X.shape[1]
+
+
+class _ZeroRuns(dict):
+    """Slices of the all-zero CSV line of ``m`` columns, in which column
+    ``j``'s ``0.0`` starts at offset ``4 * j``, each kept by the key
+    ``start * stride + stop``: the text between two cells, before a line's
+    first cell, or after its last."""
+
+    def __init__(self, m):
+        super().__init__()
+        self.line = "0.0," * (m - 1) + "0.0\n" if m else "\n"
+        self.stride = len(self.line) + 1
+
+    def __missing__(self, key):
+        self[key] = run = self.line[key // self.stride:key % self.stride]
+        return run
+
+
+def _write_rows(fh, block, runs):
+    """Write the rows of ``block`` (:class:`SparseRows`), formatting only
+    its entries; every other cell is a ``0.0`` from ``runs``.
+
+    numpy finds, for each entry, the slice of the all-zero line that comes
+    before it: the line's start up to its column when it is its row's
+    first, else the separator and zeros since the previous entry, which
+    depend only on the gap and are cut at the line's start.  Each row ends
+    with the line's rest after its last entry, or the whole line.
+    """
+    indptr, cols, values = block
+    # int64: the keys outgrow 32 bits at a few thousand columns.
+    cols = np.asarray(cols, dtype=np.int64)
+    stride, end = runs.stride, runs.stride - 1
+    nonempty = np.flatnonzero(np.diff(indptr))
+    first, last = indptr[nonempty], indptr[nonempty + 1] - 1
+    before = 3 * stride + 4 * np.diff(cols, prepend=0)
+    before[first] = 4 * cols[first]
+    after = np.full(len(indptr) - 1, end)
+    after[nonempty] = (4 * cols[last] + 3) * stride + end
+    pieces = [None] * (2 * len(cols))
+    pieces[::2] = map(runs.__getitem__, before.tolist())
+    pieces[1::2] = map(repr, np.asarray(values, dtype=float).tolist())
+    bounds = (2 * indptr).tolist()
+    lines = []
+    for lo, hi, rest in zip(bounds, bounds[1:], map(runs.__getitem__, after.tolist())):
+        lines += pieces[lo:hi]
+        lines.append(rest)
+    fh.write("".join(lines))
 
 
 def _write_matrix(path, blocks, header):
     """Write ``header`` and the rows of an iterator of row blocks; the
     header is checked against the first block before the file is opened."""
-    block = _next_block(blocks)
-    if block is None and header is None:
-        raise ValueError("no row blocks to write and no header")
-    m = len(header) if block is None else block.shape[1]
+    block, m = _next_block(blocks)
+    if m is None:
+        if header is None:
+            raise ValueError("no row blocks to write and no header" if block is None
+                             else "row blocks given by their entries need a header")
+        m = len(header)
     if header is None:
         header = [f"x{j}" for j in range(m)]
     if len(header) != m:
@@ -98,24 +141,29 @@ def _write_matrix(path, blocks, header):
     if header and _is_numeric_row(header):
         raise ValueError(f"{path}: every column name reads as a number, so the header "
                          "would be read back as a data row")
+    runs = _ZeroRuns(m)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         while block is not None:
-            if block.shape[1] != m:
-                raise ValueError(f"row block has {block.shape[1]} columns, expected {m}")
-            _write_rows(fh, block)
+            if block.cols.size and block.cols.max() >= m:
+                raise ValueError(f"row block has an entry in column {block.cols.max()}, "
+                                 f"expected {m} columns")
+            _write_rows(fh, block, runs)
             # Let go of this block before the next one is built.
             block = None
-            block = _next_block(blocks)
+            block, width = _next_block(blocks)
+            if width not in (None, m):
+                raise ValueError(f"row block has {width} columns, expected {m}")
 
 
 def save_matrix_csv(path, X, header=None):
     """Write a dense matrix, one CSV row per matrix row.
 
-    ``X`` is a matrix, or an iterator over its row blocks in order (2-D
-    arrays of equal width), so a caller can write a matrix that never
-    exists whole; the bytes are the same either way.  A block of the wrong
-    width raises after the rows before it were written.
+    ``X`` is a matrix, or an iterator over its row blocks in order, so a
+    caller can write a matrix that never exists whole; the bytes are the
+    same either way.  A block is a 2-D array or, when ``header`` is given,
+    :class:`SparseRows`.  A block of the wrong width raises after the rows
+    before it were written.
 
     ``header`` is a list of column names (defaults to ``x0..x{m-1}``).  A
     header whose every name reads as a number is refused, because
@@ -140,7 +188,8 @@ def _parse(lines):
 
 
 def load_matrix_csv(path):
-    """Read a matrix CSV; a non-numeric first row is taken as the header.
+    """Read a matrix CSV, in UTF-8 with or without a byte-order mark; a
+    non-numeric first row is taken as the header.
 
     Returns ``(X, header)`` with ``header`` None when the file starts with
     data.  A header made entirely of numeric-looking terms would be
@@ -154,7 +203,9 @@ def load_matrix_csv(path):
     ``float()`` would take: digit-group underscores (``1_0``) and
     non-ASCII digits.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig: a byte-order mark would make the first cell non-numeric,
+    # and the first data row would be taken for a header.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         numbered = [(k, ln.rstrip("\n").rstrip("\r")) for k, ln in enumerate(fh, start=1)
                     if ln.strip()]
     if not numbered:
@@ -233,7 +284,10 @@ def read_json(path, version):
     """Read a JSON document; raises ``ValueError`` unless it is an object
     whose ``version`` field is ``version``."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object, found {type(doc).__name__}")
     if doc.get("version") != version:

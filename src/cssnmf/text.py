@@ -9,22 +9,27 @@ stopword list ships with the package as a versioned data file so results
 are reproducible across installations.
 
 Text rows live as term counts.  Each document is lowercased and split on
-its own; the tokens of every document then map to columns in one pass,
-stopwords and unknown terms to -1, which is never counted, and numpy
+its own: a document that is ASCII after lowercasing through one byte table
+that keeps the 62 ASCII letters and digits and turns every other byte into
+a space, any other document by the Unicode token pattern, the only path
+that handles non-ASCII text.  The tokens of every document then map to
+columns in one pass, stopwords, one-character tokens (which only the byte
+table yields) and unknown terms to -1, which is never counted, and numpy
 counts the (document, column) pairs.  A corpus keeps the counts as CSR
 arrays: at the 3 % density of the benchmark's corpora, about a fifteenth
-of the dense matrix.  Dense rows are built
-``BLOCK_ROWS`` documents at a time, so ``cssnmf ingest`` writes ``X.csv``
-and ``cssnmf predict`` scores text without holding a dense matrix of the
-whole corpus.  :func:`tokenize` stays the public per-document tokenizer;
-the counting finds the same terms without calling it, and the tests use
-it as their oracle.
+of the dense matrix.  Rows are built ``BLOCK_ROWS`` documents at a time,
+so ``cssnmf ingest`` writes ``X.csv``, from each block's nonzeros, and
+``cssnmf predict`` scores text, from dense blocks, without holding a
+dense matrix of the whole corpus.  :func:`tokenize` stays the public
+per-document tokenizer, on the token pattern; the counting finds the same
+terms without calling it, and the tests use it as their oracle.
 """
 
 import csv
 import json
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -32,7 +37,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .io import _is_numeric_row, json_array, json_terms, read_json, write_json
+from .io import SparseRows, _is_numeric_row, json_array, json_terms, read_json, write_json
 
 __all__ = [
     "RatedDocument",
@@ -55,6 +60,9 @@ __all__ = [
 
 # A token is a maximal alphanumeric run of length >= 2 (underscore excluded).
 _TOKEN = re.compile(r"[^\W_]{2,}")
+# Splits ASCII text as _TOKEN does, one-character runs aside: the 62 ASCII
+# letters and digits map to themselves and every other byte to a space.
+_ASCII_SPLIT = bytes(b if chr(b).isalnum() else 32 for b in range(128)) + b" " * 128
 
 STOPWORD_LISTS = ("english", "none")
 
@@ -153,9 +161,10 @@ class DocumentTermMatrix:
     documents.
 
     The counts are CSR arrays: document ``i``'s terms are the columns
-    ``cols[indptr[i]:indptr[i + 1]]``, with raw counts ``tfs`` at the same
-    positions.  :meth:`blocks` builds the dense l1-normalized tf-idf rows
-    ``BLOCK_ROWS`` documents at a time, and :attr:`X` all of them at once.
+    ``cols[indptr[i]:indptr[i + 1]]``, ascending, with raw counts ``tfs``
+    at the same positions.  :meth:`blocks` builds the dense l1-normalized
+    tf-idf rows ``BLOCK_ROWS`` documents at a time, :meth:`sparse_blocks`
+    the same rows as their nonzeros, and :attr:`X` all of them at once.
     ``zero_rows`` lists documents whose tokens all fell outside the
     vocabulary; their rows are all zeros and are legal model input.
     """
@@ -170,14 +179,23 @@ class DocumentTermMatrix:
 
     def blocks(self):
         """The dense rows in order, ``BLOCK_ROWS`` documents per block."""
-        n = len(self.indptr) - 1
-        for start in range(0, n, BLOCK_ROWS):
-            yield self._rows(start, min(start + BLOCK_ROWS, n))
+        for start, stop in self._block_bounds():
+            yield self._rows(start, stop)
+
+    def sparse_blocks(self):
+        """The blocks of :meth:`blocks` as :class:`~cssnmf.io.SparseRows`
+        holding the same values, bit for bit, without a scan for them."""
+        for start, stop in self._block_bounds():
+            yield _tfidf_entries(self.indptr[start:stop + 1], self.cols, self.tfs, self.idf)
 
     @property
     def X(self):
         """The dense ``(n, m)`` tf-idf matrix; each call builds it anew."""
         return self._rows(0, len(self.indptr) - 1)
+
+    def _block_bounds(self):
+        n = len(self.indptr) - 1
+        return [(start, min(start + BLOCK_ROWS, n)) for start in range(0, n, BLOCK_ROWS)]
 
     def _rows(self, start, stop):
         return _tfidf_rows(self.indptr[start:stop + 1], self.cols, self.tfs, self.idf)
@@ -207,8 +225,9 @@ def tokenize(text, cfg):
 class _NewColumns(dict):
     """Term -> column for a corpus whose vocabulary is not known yet.
 
-    Stopwords map to -1; any other unseen term takes the next column, and
-    :attr:`terms` lists the counted terms in column order.
+    Stopwords and one-character tokens map to -1; any other unseen term
+    takes the next column, and :attr:`terms` lists the counted terms in
+    column order.
     """
 
     def __init__(self, stopwords):
@@ -216,25 +235,41 @@ class _NewColumns(dict):
         self.terms = []
 
     def __missing__(self, term):
+        if len(term) == 1:
+            self[term] = -1
+            return -1
         self[term] = j = len(self.terms)
         self.terms.append(term)
         return j
+
+
+def _split(text, lowercase):
+    """The alphanumeric runs of ``text``, lowercased when configured: those
+    :func:`tokenize` finds, plus, in ASCII text, the one-character runs,
+    which the callers never count."""
+    if lowercase:
+        # Before the ASCII test: the Kelvin sign lowercases to an ASCII "k".
+        text = text.lower()
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_SPLIT).decode("ascii").split()
+    return _TOKEN.findall(text)
 
 
 def _count_terms(texts, cfg, columns_of):
     """Per-document term counts of ``texts`` as CSR arrays
     ``(indptr, cols, tfs)``, columns ascending within each document.
 
-    Each document is lowercased (when configured) and split on its own.
-    ``columns_of`` maps the tokens of the whole call, in one pass, to their
-    columns, with -1 for stopwords and terms outside the vocabulary; those
-    are never counted.  numpy then counts the (document, column) pairs.
+    Each document is split on its own by :func:`_split`.  ``columns_of``
+    maps the tokens of the whole call, in one pass, to their columns, with
+    -1 for stopwords, one-character tokens and terms outside the
+    vocabulary; those are never counted.  numpy then counts the (document,
+    column) pairs.
     """
     sizes = []
 
     def tokens():
         for text in texts:
-            found = _TOKEN.findall(text.lower() if cfg.lowercase else text)
+            found = _split(text, cfg.lowercase)
             sizes.append(len(found))
             yield found
 
@@ -255,19 +290,42 @@ def _drop_unmapped(indptr, cols, tfs):
     return kept_before[indptr], cols[keep], tfs[keep]
 
 
-def _tfidf_rows(indptr, cols, tfs, idf):
-    """Dense l1-normalized tf-idf rows of the documents that ``indptr``
-    (a slice of a CSR row pointer) spans; a row with no terms stays zero."""
+def _unnormalized(indptr, cols, tfs, idf):
+    """The tf-idf weights of the documents that ``indptr`` (a slice of a CSR
+    row pointer) spans, before normalization: as dense rows, and as the
+    weights ``w`` of their entries with each entry's row and column."""
     n = len(indptr) - 1
     lo, hi = indptr[0], indptr[-1]
-    X = np.zeros((n, len(idf)))
     rows = np.repeat(np.arange(n), np.diff(indptr))
     block_cols = cols[lo:hi]
-    X[rows, block_cols] = tfs[lo:hi] * idf[block_cols]
+    w = tfs[lo:hi] * idf[block_cols]
+    X = np.zeros((n, len(idf)))
+    X[rows, block_cols] = w
+    return X, rows, block_cols, w
+
+
+def _tfidf_rows(indptr, cols, tfs, idf):
+    """Dense l1-normalized tf-idf rows of the documents that ``indptr``
+    spans; a row with no terms stays zero."""
+    X = _unnormalized(indptr, cols, tfs, idf)[0]
     s = X.sum(axis=1)[:, None]
     # In place: dividing through a fancy index would copy the whole block.
     np.divide(X, s, out=X, where=s > 0)
     return X
+
+
+def _tfidf_entries(indptr, cols, tfs, idf):
+    """The rows of :func:`_tfidf_rows` as :class:`~cssnmf.io.SparseRows`,
+    in the order of ``cols``, which the writer needs ascending within each
+    row.
+
+    Each row's sum still comes from its dense row, because the pairwise
+    summation over it sets the sum's bits; the division is the same, so
+    every entry has the same bits as in the dense row.
+    """
+    X, rows, block_cols, w = _unnormalized(indptr, cols, tfs, idf)
+    s = X.sum(axis=1)
+    return SparseRows(indptr - indptr[0], block_cols, w / s[rows])
 
 
 def build_tfidf(corpus, cfg):
@@ -302,6 +360,9 @@ def build_tfidf(corpus, cfg):
     renumber = np.full(len(columns.terms), -1, dtype=np.int64)
     renumber[[columns[t] for t in vocab.terms]] = np.arange(len(vocab))
     indptr, cols, tfs = _drop_unmapped(indptr, renumber[cols], tfs)
+    # Columns ascending within each document, as the CSV writer takes them.
+    order = np.argsort(np.repeat(np.arange(n), np.diff(indptr)) * len(vocab) + cols)
+    cols, tfs = cols[order], tfs[order]
     return DocumentTermMatrix(
         vocab=vocab,
         doc_ids=[e.id for e in corpus.entries],
@@ -323,10 +384,10 @@ def vectorize_many(docs, vocab, cfg, idf):
     idf = np.asarray(idf, dtype=float)
     if idf.shape[0] != len(vocab):
         raise ValueError(f"idf has {idf.shape[0]} entries for {len(vocab)} terms")
-    # Out-of-vocabulary terms and stopwords, even those in the vocabulary,
-    # take column -1 and are not counted.
+    # Out-of-vocabulary terms, and stopwords and one-character terms even
+    # when the vocabulary holds them, take column -1 and are not counted.
     stop = stopword_set(cfg.stopwords)
-    columns = {**vocab.index, **dict.fromkeys(stop.intersection(vocab.index), -1)}
+    columns = {t: -1 if len(t) == 1 or t in stop else j for t, j in vocab.index.items()}
     counts = _count_terms(docs, cfg, lambda terms: map(columns.get, terms, repeat(-1)))
     return _tfidf_rows(*counts, idf)
 
@@ -376,12 +437,28 @@ def balance(corpus, edges, seed):
 
 # Corpus files with these suffixes are JSON-lines; any other is CSV.
 JSONL_SUFFIXES = (".jsonl", ".ndjson")
+# Longest CSV field a corpus may hold, in characters: a field is a whole
+# review, and the csv module's default limit is 131,072.  The limit is a C
+# long, which holds this value on every platform.
+CSV_FIELD_LIMIT = 2**31 - 1
+
+
+@contextmanager
+def _long_csv_fields():
+    """Let the csv module read fields of up to :data:`CSV_FIELD_LIMIT`
+    characters while the block runs."""
+    limit = csv.field_size_limit(CSV_FIELD_LIMIT)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(limit)
 
 
 def load_corpus(path, rating_range=None, require_rating=True):
     """Read a corpus from CSV (columns id, text, rating) or JSON-lines
     (objects with the same fields), in UTF-8 with or without a byte-order
-    mark.  The rating field may be absent when
+    mark.  A CSV field may hold up to :data:`CSV_FIELD_LIMIT` characters.
+    The rating field may be absent when
     ``require_rating`` is false.  When ``rating_range`` is a ``(lo, hi)``
     pair, every present rating must lie in ``[lo, hi]``."""
     path = str(path)
@@ -396,19 +473,27 @@ def load_corpus(path, rating_range=None, require_rating=True):
                     obj = json.loads(line)
                 except json.JSONDecodeError as err:
                     raise ValueError(f"{path}: line {k} is not valid JSON: {err}") from None
+                except RecursionError:
+                    raise ValueError(f"{path}: line {k} is JSON nested too deeply to read") \
+                        from None
                 if not isinstance(obj, dict):
                     raise ValueError(f"{path}: line {k} is not a JSON object")
                 entries.append(_entry_from_record(obj, path, k, require_rating))
     else:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh, _long_csv_fields():
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise ValueError(f"{path}: empty corpus file")
-            missing = {"id", "text"} - set(reader.fieldnames)
-            if missing:
-                raise ValueError(f"{path}: missing columns {sorted(missing)}")
-            for k, rec in enumerate(reader, start=2):
-                entries.append(_entry_from_record(rec, path, k, require_rating))
+            try:
+                if reader.fieldnames is None:
+                    raise ValueError(f"{path}: empty corpus file")
+                missing = {"id", "text"} - set(reader.fieldnames)
+                if missing:
+                    raise ValueError(f"{path}: missing columns {sorted(missing)}")
+                for k, rec in enumerate(reader, start=2):
+                    entries.append(_entry_from_record(rec, path, k, require_rating))
+            except csv.Error as err:
+                # Record 1 is the header; each record after it became an entry.
+                k = len(entries) + 2 if reader.line_num else 1
+                raise ValueError(f"{path}: record {k} is not valid CSV: {err}") from None
     if not entries:
         raise ValueError(f"{path}: corpus is empty")
     if rating_range is not None:
@@ -431,10 +516,15 @@ def is_corpus_file(path):
     """
     if str(path).endswith(JSONL_SUFFIXES):
         return True
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh, _long_csv_fields():
         reader = csv.reader(fh)
-        header = next(reader, [])
-        first = next(reader, [])
+        header = None
+        try:
+            header = next(reader, [])
+            first = next(reader, [])
+        except csv.Error as err:
+            k = 1 if header is None else 2
+            raise ValueError(f"{path}: record {k} is not valid CSV: {err}") from None
     return {"id", "text"} <= set(header) and not _is_numeric_row(first)
 
 

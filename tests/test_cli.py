@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,11 @@ import pytest
 from click.testing import CliRunner
 
 import cssnmf.cli
-from conftest import csv_rows
+import cssnmf.text
+from conftest import csv_rows, row_from_counts_reference, save_matrix_csv_reference
 from cssnmf.cli import main
-from cssnmf.io import load_matrix_csv, load_vector_csv, save_matrix_csv, save_vector_csv
+from cssnmf.io import (load_matrix_csv, load_vector_csv, save_matrix_csv, save_vector_csv,
+                       write_table)
 from cssnmf.linalg import nnls
 from cssnmf.model import (
     Factorization,
@@ -22,9 +25,11 @@ from cssnmf.model import (
     NumericFailure,
     fit,
     load_model,
+    predict_many,
     save_model,
 )
 from cssnmf.synthetic import SyntheticConfig, generate, split_arrays
+from cssnmf.text import TfidfConfig, Vocabulary, tokenize
 
 
 @pytest.fixture
@@ -157,6 +162,20 @@ def test_fit_rejects_mismatched_shapes(runner, tmp_path):
                                str(tmp_path / "X.csv"), str(tmp_path / "Y.csv"), "--r", "1"])
     assert res.exit_code == 3
     assert "4" in res.stderr and "5" in res.stderr
+
+
+def test_fit_reads_a_headerless_matrix_with_a_byte_order_mark(runner, tmp_path):
+    # The mark must not make the first row read as a header and be lost.
+    body = "1.0,2.0\n3.0,1.0\n2.0,2.0\n0.5,1.5\n"
+    (tmp_path / "plain.csv").write_text(body, encoding="utf-8")
+    (tmp_path / "marked.csv").write_text(body, encoding="utf-8-sig")
+    save_vector_csv(tmp_path / "Y.csv", [1.0, 2.0, 3.0, 1.5])
+    for name in ("plain", "marked"):
+        res = invoke(runner, ["--out", tmp_path / name, "fit", tmp_path / f"{name}.csv",
+                              tmp_path / "Y.csv", "--r", 1, "--restarts", 1, "--max-iter", 5])
+        assert res.exit_code == 0, res.output
+    assert (tmp_path / "marked" / "model.json").read_bytes() == \
+        (tmp_path / "plain" / "model.json").read_bytes()
 
 
 def test_fit_rejects_negative_data(runner, tmp_path):
@@ -706,6 +725,71 @@ def test_ingest_and_predict_read_a_corpus_with_a_byte_order_mark(runner, tmp_pat
     assert (tmp_path / "pm" / "groups.csv").exists()  # read as a corpus, ratings inline
 
 
+def _long_review_corpus(path):
+    """Three documents, the first a 200,000-character ASCII review: longer
+    than the csv module's default field limit of 131,072 characters."""
+    rng = np.random.default_rng(8)
+    words = ["apple", "banana", "cherry", "delta", "the", "x", "Q", "42"]
+    text = ""
+    while len(text) < 200_000:
+        text += " ".join(rng.choice(words, size=1000)) + ",\n "
+    # Cut at a space, so that the last word stays whole.
+    texts = [text[:200_000].rsplit(" ", 1)[0].ljust(200_000), "apple cherry delta",
+             "banana delta"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "text", "rating"])
+        writer.writerows([doc_id, t, r] for doc_id, t, r in zip("abc", texts, [3, 4, 2]))
+    return texts
+
+
+def test_ingest_and_predict_count_the_terms_of_a_review_past_the_csv_field_limit(
+        runner, tmp_path):
+    corpus = tmp_path / "long.csv"
+    texts = _long_review_corpus(corpus)
+    res = invoke(runner, ["--out", tmp_path / "ing", "ingest", corpus, "--min-df", 0,
+                          "--max-df", 1])
+    assert res.exit_code == 0, res.output
+    vec = json.loads((tmp_path / "ing" / "vectorizer.json").read_text())
+    # One-character tokens and the stopword are not terms.
+    assert vec["vocabulary"] == ["42", "apple", "banana", "cherry", "delta"]
+    cfg = TfidfConfig(**vec["config"])
+    vocab, idf = Vocabulary.from_terms(vec["vocabulary"]), np.array(vec["idf"])
+    rows = [row_from_counts_reference(Counter(tokenize(t, cfg)), vocab, idf)[0] for t in texts]
+    save_matrix_csv_reference(tmp_path / "X_ref.csv", rows, header=vec["vocabulary"])
+    assert (tmp_path / "ing" / "X.csv").read_bytes() == (tmp_path / "X_ref.csv").read_bytes()
+
+    model_path = tmp_path / "model.json"
+    terms = vec["vocabulary"][1:]
+    H, theta = _planted_model(model_path, vocab=terms, idf=idf[1:].tolist(),
+                              tfidf=vec["config"])
+    res = invoke(runner, ["--out", tmp_path / "p", "predict", model_path, corpus])
+    assert res.exit_code == 0, res.output
+    scored = Vocabulary.from_terms(terms)
+    X = np.array([row_from_counts_reference(Counter(tokenize(t, cfg)), scored, idf[1:])[0]
+                  for t in texts])
+    y_hats, W = predict_many(H, theta, X)
+    write_table(tmp_path / "expected.csv", ["id", "y_hat", "w_1", "w_2"],
+                ([i, y, *w] for i, y, w in zip("abc", y_hats.tolist(), W.tolist())))
+    assert (tmp_path / "p" / "predictions.csv").read_bytes() == \
+        (tmp_path / "expected.csv").read_bytes()
+
+
+def test_a_corpus_field_the_csv_module_refuses_exits_3_naming_file_and_record(
+        runner, tmp_path, monkeypatch):
+    corpus = tmp_path / "long.csv"
+    _long_review_corpus(corpus)
+    monkeypatch.setattr(cssnmf.text, "CSV_FIELD_LIMIT", 100_000)
+    model_path = tmp_path / "model.json"
+    _planted_model(model_path, vocab=["apple", "banana", "cherry", "delta"], idf=[1.0] * 4,
+                   tfidf=NO_STOP_TFIDF)
+    for args in (["ingest", corpus], ["predict", model_path, corpus]):
+        res = runner.invoke(main, [str(a) for a in ["--out", tmp_path / "out", *args]])
+        assert res.exit_code == 3, res.output
+        assert f"{corpus}: record 2 is not valid CSV: field larger than field limit" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_ingest_refuses_balance_edges_that_are_not_ascending(runner, tmp_path):
     corpus_path = tmp_path / "c.csv"
     corpus_path.write_text("id,text,rating\na,apple banana,2\nb,banana cherry,4\n")
@@ -837,6 +921,19 @@ def test_malformed_model_or_vectorizer_exits_3(runner, tmp_path, fitted_text_mod
     assert res.exit_code == 3, res.output
     assert f"{bad}: " in res.stderr
     assert not (tmp_path / "out" / "model.json").exists()
+
+
+def test_deeply_nested_json_exits_3_naming_the_file(runner, tmp_path, fitted_text_model):
+    d = fitted_text_model
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for args in (["topics", deep],
+                 ["predict", deep, d / "corpus.csv"],
+                 ["fit", d / "X.csv", d / "Y.csv", "--r", 2, "--restarts", 1, "--max-iter", 3,
+                  "--vectorizer", deep]):
+        res = runner.invoke(main, [str(a) for a in ["--out", tmp_path / "out", *args]])
+        assert res.exit_code == 3, res.output
+        assert f"{deep}: JSON nested too deeply to read" in res.stderr
 
 
 def test_fit_refuses_an_x_header_that_is_not_the_vectorizer_vocabulary(

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from cssnmf.cli import main
 from cssnmf.io import (
+    SparseRows,
     json_array,
     json_terms,
     load_matrix_csv,
@@ -137,6 +138,31 @@ def test_writer_bytes_do_not_depend_on_row_blocks(tmp_path_factory, n, m, seed, 
         written(tmp_path, save_matrix_csv, X, name="whole.csv")
 
 
+def sparse_rows(X):
+    """``X`` as SparseRows listing every entry whose bit pattern is not +0.0."""
+    rows, cols = np.nonzero(X.view(np.int64))
+    return SparseRows(np.searchsorted(rows, np.arange(X.shape[0] + 1)), cols, X[rows, cols])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    n=st.integers(0, 9),
+    m=st.one_of(st.integers(1, 6), st.just(INGEST_WIDTH)),
+    seed=st.integers(0, 2**32 - 1),
+    zero_frac=st.sampled_from([0.0, 0.5, 0.97, 1.0]),
+    cuts=st.lists(st.integers(0, 9), max_size=3),
+)
+def test_sparse_row_blocks_write_the_bytes_of_the_dense_matrix(tmp_path_factory, n, m, seed,
+                                                               zero_frac, cuts):
+    tmp_path = tmp_path_factory.mktemp("w")
+    X = random_bit_matrix(n, m, seed, zero_frac)
+    header = [f"t{j}" for j in range(m)]
+    bounds = [0] + sorted(min(c, n) for c in cuts) + [n]
+    blocks = (sparse_rows(X[a:b]) for a, b in zip(bounds, bounds[1:]))
+    assert written(tmp_path, save_matrix_csv, blocks, header, name="sparse.csv") == \
+        written(tmp_path, save_matrix_csv_reference, X, header, name="ref.csv")
+
+
 def test_writer_block_validation(tmp_path):
     assert written(tmp_path, save_matrix_csv, iter([]), header=["a", "b"]) == b"a,b\n"
     with pytest.raises(ValueError, match="no row blocks to write and no header"):
@@ -145,6 +171,14 @@ def test_writer_block_validation(tmp_path):
         save_matrix_csv(tmp_path / "a.csv", iter([np.ones((1, 2)), np.ones((1, 3))]))
     with pytest.raises(ValueError, match="expected a matrix"):
         save_matrix_csv(tmp_path / "a.csv", iter([np.ones((1, 2)), np.ones(2)]))
+    with pytest.raises(ValueError, match="given by their entries need a header"):
+        save_matrix_csv(tmp_path / "a.csv", iter([sparse_rows(np.ones((1, 2)))]))
+    with pytest.raises(ValueError, match="an entry in column 2, expected 2 columns"):
+        save_matrix_csv(tmp_path / "a.csv", iter([sparse_rows(np.ones((1, 3)))]),
+                        header=["a", "b"])
+    with pytest.raises(ValueError, match="row block has 3 columns, expected 2"):
+        save_matrix_csv(tmp_path / "a.csv", iter([sparse_rows(np.ones((1, 2))), np.ones((1, 3))]),
+                        header=["a", "b"])
 
 
 @pytest.mark.parametrize("header", [["10", "20"], ["1e5"], ["nan", "inf", "-0.5"]])
@@ -222,6 +256,17 @@ def test_reader_layouts(tmp_path, text, header, expected):
     assert same_bits(X, expected)
     ref, ref_header = load_matrix_csv_reference(path)
     assert ref_header == header and same_bits(X, ref)
+
+
+def test_reader_skips_a_byte_order_mark(tmp_path):
+    # Without the mark skipped, "\ufeff1.0" is not a number, and a headerless
+    # file would lose its first row to the header.
+    for text, header in (("1.0,2.0\n3.0,4.0\n", None), ("a,b\n1.0,2.0\n3.0,4.0\n", ["a", "b"])):
+        path = tmp_path / "X.csv"
+        path.write_text(text, encoding="utf-8-sig")
+        X, got_header = load_matrix_csv(path)
+        assert got_header == header
+        assert same_bits(X, [[1.0, 2.0], [3.0, 4.0]])
 
 
 @pytest.mark.parametrize("text, message", [
@@ -326,6 +371,7 @@ def test_write_json_bytes_and_read_json(tmp_path):
     ("[1, 2]", "expected a JSON object, found list"),
     ('"version"', "expected a JSON object, found str"),
     ("{", "Expecting"),
+    ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
 ])
 def test_read_json_rejects_non_objects(tmp_path, text, message):
     path = tmp_path / "d.json"

@@ -1,9 +1,12 @@
 import json
 import math
+import string
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import row_from_counts_reference
 from cssnmf.text import (
@@ -264,6 +267,7 @@ EDGE_TEXTS = [
     "   \n\t",
     "Mixed CASE mixed case Case",
     "the apple, the pear; the apple!",
+    "\u212aelvin KELVIN 9\u212a \u212a k x a 9 Q",   # the Kelvin sign lowercases to "k"
 ]
 
 
@@ -290,15 +294,44 @@ def test_counting_equals_per_document_tokenize_on_edge_text(stopwords, lowercase
 
 
 def test_vectorize_never_counts_a_stopword_in_the_vocabulary():
-    # A hand-written model may hold a stopword; the tokenizer drops it.
+    # A hand-written model may hold a stopword or a one-character term; the
+    # tokenizer finds neither.
     cfg = TfidfConfig(stopwords="english")
-    vocab = Vocabulary.from_terms(["the", "apple", "οδος", "stanbul", "2024", "pear"])
+    vocab = Vocabulary.from_terms(["the", "apple", "οδος", "stanbul", "2024", "pear", "9", "k",
+                                   "x", "kelvin"])
     idf = np.linspace(1.0, 2.0, len(vocab))
     X = vectorize_many(EDGE_TEXTS, vocab, cfg, idf)
     expected, _ = reference_rows_and_zeros(EDGE_TEXTS, vocab, idf, cfg)
     assert np.array_equal(X, expected)
-    assert not X[:, vocab.index["the"]].any()
-    assert X[:, vocab.index["apple"]].any()
+    assert not X[:, [vocab.index[t] for t in ("the", "9", "k", "x")]].any()
+    assert X[:, vocab.index["apple"]].any() and X[:, vocab.index["kelvin"]].any()
+
+
+# Letters whose case mapping, word-character class or length is easy to get
+# wrong, and a combining accent.
+DRAWN_CHARS = string.printable + "Σςİß\u212a²٣_\u0301"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    texts=st.lists(st.text(st.sampled_from(DRAWN_CHARS), max_size=30), min_size=1, max_size=6),
+    lowercase=st.booleans(),
+    stopwords=st.sampled_from(["english", "none"]),
+)
+def test_counting_equals_per_document_tokenize_on_drawn_text(texts, lowercase, stopwords):
+    cfg = TfidfConfig(min_df=0.0, max_df=1.0, stopwords=stopwords, lowercase=lowercase)
+    df = Counter(t for text in texts for t in set(tokenize(text, cfg)))
+    if not df:
+        with pytest.raises(ValueError, match="empty vocabulary"):
+            build_tfidf(corpus_of(texts), cfg)
+        return
+    dtm = build_tfidf(corpus_of(texts), cfg)
+    assert dtm.vocab.terms == tuple(sorted(df))
+    X, zero_rows = reference_rows_and_zeros(texts, dtm.vocab, dtm.idf, cfg)
+    assert np.array_equal(dtm.X.view(np.int64), X.view(np.int64))
+    assert dtm.zero_rows == zero_rows
+    assert np.array_equal(vectorize_many(texts, dtm.vocab, cfg, dtm.idf).view(np.int64),
+                          X.view(np.int64))
 
 
 def test_vectorize_many_of_no_documents():
@@ -438,6 +471,10 @@ def test_load_corpus_errors(tmp_path):
         not_object.write_text('{"id": "a", "text": "fine", "rating": 3}\n' + record + "\n")
         with pytest.raises(ValueError, match="n.jsonl: line 2 is not a JSON object"):
             load_corpus(not_object)
+    deep = tmp_path / "d.jsonl"
+    deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises(ValueError, match="d.jsonl: line 1 is JSON nested too deeply"):
+        load_corpus(deep)
     empty = tmp_path / "e.csv"
     empty.write_text("id,text,rating\n")
     with pytest.raises(ValueError):
