@@ -81,8 +81,9 @@ def _next_block(blocks):
 class _ZeroRuns(dict):
     """Slices of the all-zero CSV line of ``m`` columns, in which column
     ``j``'s ``0.0`` starts at offset ``4 * j``, each kept by the key
-    ``start * stride + stop``: the text between two cells, before a line's
-    first cell, or after its last."""
+    ``start * stride + stop`` (``stride`` is the line's length plus one):
+    the text between two cells, before a line's first cell, or after its
+    last."""
 
     def __init__(self, m):
         super().__init__()
@@ -102,7 +103,8 @@ def _write_rows(fh, block, runs):
     before it: the line's start up to its column when it is its row's
     first, else the separator and zeros since the previous entry, which
     depend only on the gap and are cut at the line's start.  Each row ends
-    with the line's rest after its last entry, or the whole line.
+    with the line's rest after its last entry, or the whole line.  The
+    block's text is joined and written in one piece.
     """
     indptr, cols, values = block
     # int64: the keys outgrow 32 bits at a few thousand columns.
