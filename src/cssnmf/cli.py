@@ -22,9 +22,10 @@ from .linalg import ConvergenceError
 from .model import FitConfig, NumericFailure, fit as fit_model, load_model, predict_many, save_model
 from .sweep import (LAMBDA_GRIDS, SweepSpec, figure_filter as apply_figure_filter, lambda_grid,
                     run_sweep, write_sweep_csv)
-from .synthetic import SyntheticConfig, generate, save_dataset
+from .synthetic import NOISE_KINDS, SyntheticConfig, generate, save_dataset
 from .text import (
     BLOCK_ROWS,
+    STOPWORD_LISTS,
     TfidfConfig,
     Vocabulary,
     balance,
@@ -48,8 +49,6 @@ def _mapped(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except click.ClickException:
-            raise
         except (ConvergenceError, NumericFailure) as err:
             click.echo(f"numeric failure: {err}", err=True)
             sys.exit(4)
@@ -102,7 +101,7 @@ def _parse_edges(text, what):
 
 
 @click.group()
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="Base seed for every randomized step.")
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path),
               default=Path("."), show_default=True,
@@ -114,23 +113,25 @@ def main(ctx, seed, out):
 
 
 @main.command()
-@click.option("--n", type=int, default=100, show_default=True, help="Documents.")
-@click.option("--m", type=int, default=40, show_default=True, help="Vocabulary size.")
-@click.option("--r", "r_true", type=int, default=4, show_default=True, help="Planted topics.")
-@click.option("--scale", type=float, default=20.0, show_default=True,
+@click.option("--n", type=int, default=SyntheticConfig.n, show_default=True, help="Documents.")
+@click.option("--m", type=int, default=SyntheticConfig.m, show_default=True,
+              help="Vocabulary size.")
+@click.option("--r", "r_true", type=int, default=SyntheticConfig.r_true, show_default=True,
+              help="Planted topics.")
+@click.option("--scale", type=float, default=SyntheticConfig.M, show_default=True,
               help="Upper bound for the uniform factor entries.")
-@click.option("--eta-x", type=float, default=4.0, show_default=True, help="Matrix noise scale.")
-@click.option("--eta-y", type=float, default=4.0, show_default=True, help="Response noise scale.")
-@click.option("--noise", type=click.Choice(["gaussian", "uniform"]), default="gaussian",
+@click.option("--eta-x", type=float, default=SyntheticConfig.eta_x, show_default=True,
+              help="Matrix noise scale.")
+@click.option("--eta-y", type=float, default=SyntheticConfig.eta_y, show_default=True,
+              help="Response noise scale.")
+@click.option("--noise", type=click.Choice(NOISE_KINDS), default=SyntheticConfig.noise_kind,
               show_default=True)
 @click.pass_obj
 @_mapped
 def synth(obj, n, m, r_true, scale, eta_x, eta_y, noise):
     """Generate a synthetic dataset: X.csv, Y.csv, truth.json."""
-    cfg = SyntheticConfig(
-        n=n, m=m, r_true=r_true, M=scale,
-        eta_x=eta_x, eta_y=eta_y, noise_kind=noise, seed=obj["seed"],
-    )
+    cfg = _config(SyntheticConfig, n=n, m=m, r_true=r_true, M=scale,
+                  eta_x=eta_x, eta_y=eta_y, noise_kind=noise, seed=obj["seed"])
     ds = generate(cfg)
     for p in save_dataset(ds, _outdir(obj)):
         click.echo(str(p))
@@ -138,13 +139,13 @@ def synth(obj, n, m, r_true, scale, eta_x, eta_y, noise):
 
 @main.command()
 @click.argument("corpus", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--min-df", type=float, default=0.01, show_default=True,
+@click.option("--min-df", type=float, default=TfidfConfig.min_df, show_default=True,
               help="Keep terms appearing in at least this fraction of documents.")
-@click.option("--max-df", type=float, default=0.15, show_default=True,
+@click.option("--max-df", type=float, default=TfidfConfig.max_df, show_default=True,
               help="Keep terms appearing in at most this fraction of documents.")
-@click.option("--stopwords", type=click.Choice(["english", "none"]), default="english",
+@click.option("--stopwords", type=click.Choice(STOPWORD_LISTS), default=TfidfConfig.stopwords,
               show_default=True)
-@click.option("--lowercase/--no-lowercase", default=True, show_default=True)
+@click.option("--lowercase/--no-lowercase", default=TfidfConfig.lowercase, show_default=True)
 @click.option("--balance-edges", default=None,
               help="Comma list of rating interval edges (e.g. 1,2,3,4,5); when given, "
                    "intervals are subsampled to equal size before vectorizing.")
@@ -189,12 +190,12 @@ def ingest(obj, corpus, min_df, max_df, stopwords, lowercase, balance_edges, rat
 @click.argument("x_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.argument("y_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--r", type=int, required=True, help="Topic count.")
-@click.option("--lam", "--lambda", "lam", type=float, default=0.0, show_default=True,
+@click.option("--lam", "--lambda", "lam", type=float, default=FitConfig.lam, show_default=True,
               help="Regression weight in the joint objective.")
-@click.option("--tau", type=float, default=1e-4, show_default=True,
+@click.option("--tau", type=float, default=FitConfig.tau, show_default=True,
               help="Relative objective-change tolerance.")
-@click.option("--max-iter", type=int, default=100, show_default=True)
-@click.option("--restarts", type=int, default=10, show_default=True)
+@click.option("--max-iter", type=int, default=FitConfig.max_iter, show_default=True)
+@click.option("--restarts", type=int, default=FitConfig.restarts, show_default=True)
 @click.option("--vectorizer", type=click.Path(exists=True, dir_okay=False, path_type=Path),
               default=None,
               help="vectorizer.json from ingest; embeds vocabulary and idf in the model.")
@@ -242,12 +243,12 @@ def fit_cmd(obj, x_path, y_path, r, lam, tau, max_iter, restarts, vectorizer):
 @click.option("--r", "r_list", required=True, help="Comma list of topic counts (e.g. 1,2,4).")
 @click.option("--lambdas", required=True,
               help="'synth', 'text', or a comma list of lambda values.")
-@click.option("--restarts", type=int, default=10, show_default=True)
-@click.option("--train-frac", type=float, default=0.7, show_default=True)
-@click.option("--split-seed", type=int, default=None, help="Defaults to --seed.")
-@click.option("--fit-seed", type=int, default=None, help="Defaults to --seed.")
-@click.option("--tau", type=float, default=1e-4, show_default=True)
-@click.option("--max-iter", type=int, default=100, show_default=True)
+@click.option("--restarts", type=int, default=SweepSpec.restarts, show_default=True)
+@click.option("--train-frac", type=float, default=SweepSpec.train_frac, show_default=True)
+@click.option("--split-seed", type=click.IntRange(min=0), help="Defaults to --seed.")
+@click.option("--fit-seed", type=click.IntRange(min=0), help="Defaults to --seed.")
+@click.option("--tau", type=float, default=SweepSpec.tau, show_default=True)
+@click.option("--max-iter", type=int, default=SweepSpec.max_iter, show_default=True)
 @click.option("--figure-filter", "fig_filter", is_flag=True,
               help="Also write sweep_figure.csv, dropping lambda > 0 rows whose error "
                    "exceeds 1.5x the lambda = 0 row.")
@@ -256,21 +257,12 @@ def fit_cmd(obj, x_path, y_path, r, lam, tau, max_iter, restarts, vectorizer):
 def sweep(obj, x_path, y_path, r_list, lambdas, restarts, train_frac,
           split_seed, fit_seed, tau, max_iter, fig_filter):
     """Fit an (r, lambda) grid and write sweep.csv."""
-    if lambdas in LAMBDA_GRIDS:
-        lam_values = lambda_grid(lambdas)
-    else:
-        lam_values = _parse_float_list(lambdas, "--lambdas")
-    spec = _config(
-        SweepSpec,
-        r_values=tuple(_parse_int_list(r_list, "--r")),
-        lambda_values=tuple(lam_values),
-        restarts=restarts,
-        split_seed=obj["seed"] if split_seed is None else split_seed,
-        fit_seed=obj["seed"] if fit_seed is None else fit_seed,
-        train_frac=train_frac,
-        tau=tau,
-        max_iter=max_iter,
-    )
+    lam_values = (lambda_grid(lambdas) if lambdas in LAMBDA_GRIDS
+                  else _parse_float_list(lambdas, "--lambdas"))
+    spec = _config(SweepSpec, r_values=_parse_int_list(r_list, "--r"), lambda_values=lam_values,
+                   restarts=restarts, train_frac=train_frac, tau=tau, max_iter=max_iter,
+                   split_seed=obj["seed"] if split_seed is None else split_seed,
+                   fit_seed=obj["seed"] if fit_seed is None else fit_seed)
     X, _ = load_matrix_csv(x_path)
     Y = load_vector_csv(y_path)
     cells = run_sweep(X, Y, spec)
@@ -377,7 +369,7 @@ def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
 
 @main.command()
 @click.argument("model_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--top-k", type=int, default=10, show_default=True,
+@click.option("--top-k", type=click.IntRange(min=1), default=10, show_default=True,
               help="Terms reported per topic.")
 @click.pass_obj
 @_mapped
@@ -387,8 +379,6 @@ def topics(obj, model_path, top_k):
     if model.vocabulary is None:
         raise click.UsageError("model has no vocabulary; fit with --vectorizer to name terms")
     m = len(model.vocabulary)
-    if top_k < 1:
-        raise click.UsageError("--top-k must be >= 1")
     if top_k > m:
         click.echo(f"warning: --top-k {top_k} clamped to vocabulary size {m}", err=True)
         top_k = m

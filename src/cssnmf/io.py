@@ -283,11 +283,13 @@ def write_json(path, doc):
 
 
 def read_json(path, version):
-    """Read a JSON document; raises ``ValueError`` unless it is an object
-    whose ``version`` field is ``version``."""
+    """Read a JSON document; raises ``ValueError`` prefixed with ``path``
+    unless it parses to an object whose ``version`` field is ``version``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: {err}") from None
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(doc, dict):

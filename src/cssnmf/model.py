@@ -88,6 +88,8 @@ class FitConfig:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if int(self.max_iter) < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if int(self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if int(self.restarts) < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
@@ -353,8 +355,8 @@ def fit(X, Y, cfg):
     best = None
     failures = []
     for k in range(cfg.restarts):
-        # X and Y were checked above, so a ValueError here means the
-        # restart's iterates overflowed.
+        # The config (seed included) and X and Y are checked, so a
+        # ValueError here means the restart's iterates overflowed.
         try:
             fac, report = _fit_once(X, Y, cfg, seed=cfg.seed + k, restart_index=k)
         except (ConvergenceError, NumericFailure, ValueError, np.linalg.LinAlgError) as err:

@@ -7,7 +7,7 @@ side through the same encode-then-predict path used for unseen documents
 (:func:`cssnmf.model.predict_many`, one batched solve per cell).
 """
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -45,30 +45,37 @@ def lambda_grid(name):
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """An (r, lambda) grid on one train/test split.  It builds the
+    :class:`~cssnmf.model.FitConfig` of every cell, in (r, lambda) order, as
+    ``configs``; it checks only its own lists and ``train_frac``."""
+
     r_values: tuple
     lambda_values: tuple
-    restarts: int = 10
+    restarts: int = FitConfig.restarts
     split_seed: int = 0
-    fit_seed: int = 0
+    fit_seed: int = FitConfig.seed
     train_frac: float = 0.7
-    tau: float = 1e-4
-    max_iter: int = 100
+    tau: float = FitConfig.tau
+    max_iter: int = FitConfig.max_iter
+    configs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r_values = tuple(int(r) for r in self.r_values)
-        lambda_values = tuple(float(v) for v in self.lambda_values)
+        r_values = tuple(sorted({int(r) for r in self.r_values}))
+        lambda_values = tuple(sorted(float(v) for v in self.lambda_values))
         if not r_values or not lambda_values:
             raise ValueError("r_values and lambda_values must be non-empty")
-        if any(r < 1 for r in r_values):
-            raise ValueError(f"r values must be >= 1, got {r_values}")
-        if any(v < 0 or not np.isfinite(v) for v in lambda_values):
-            raise ValueError(f"lambda values must be finite and >= 0, got {lambda_values}")
-        if len(set(lambda_values)) != len(lambda_values):
-            raise ValueError(f"lambda values must be distinct, got {lambda_values}")
-        object.__setattr__(self, "r_values", tuple(sorted(set(r_values))))
-        object.__setattr__(self, "lambda_values", tuple(sorted(lambda_values)))
         if not 0 < self.train_frac < 1:
             raise ValueError(f"train_frac must lie in (0, 1), got {self.train_frac}")
+        configs = tuple(
+            FitConfig(r=r, lam=lam, tau=self.tau, max_iter=self.max_iter,
+                      seed=self.fit_seed, restarts=self.restarts)
+            for r in r_values for lam in lambda_values
+        )
+        if len(set(lambda_values)) != len(lambda_values):
+            raise ValueError(f"lambda values must be distinct, got {lambda_values}")
+        object.__setattr__(self, "r_values", r_values)
+        object.__setattr__(self, "lambda_values", lambda_values)
+        object.__setattr__(self, "configs", configs)
 
 
 @dataclass
@@ -91,26 +98,18 @@ class SweepCell:
         return self.status == "ok"
 
 
-def _run_cell(X_tr, Y_tr, X_te, Y_te, r, lam, spec):
-    cfg = FitConfig(
-        r=r,
-        lam=lam,
-        tau=spec.tau,
-        max_iter=spec.max_iter,
-        seed=spec.fit_seed,
-        restarts=spec.restarts,
-    )
+def _run_cell(X_tr, Y_tr, X_te, Y_te, cfg):
     try:
         fac, report = fit(X_tr, Y_tr, cfg)
     except NumericFailure as err:
         return SweepCell(
-            r=r, lam=lam, train_mse=np.nan, test_mse=np.nan, final_F=np.nan,
+            r=cfg.r, lam=cfg.lam, train_mse=np.nan, test_mse=np.nan, final_F=np.nan,
             best_restart=-1, iterations=0, status=f"failed: {err}",
         )
     y_hat, _ = predict_many(fac.H, fac.theta, X_te)
     return SweepCell(
-        r=r,
-        lam=lam,
+        r=cfg.r,
+        lam=cfg.lam,
         # The last trace row's R is the returned model's training error.
         train_mse=report.objective_trace[-1][3] / X_tr.shape[0],
         test_mse=float(np.mean(np.square(y_hat - Y_te))),
@@ -128,12 +127,7 @@ def run_sweep(X, Y, spec):
     failure note instead of aborting the sweep.
     """
     (X_tr, Y_tr), (X_te, Y_te), _ = split_arrays(X, Y, spec.train_frac, spec.split_seed)
-    # SweepSpec keeps both axes sorted, so the cells come out in (r, lambda) order.
-    return [
-        _run_cell(X_tr, Y_tr, X_te, Y_te, r, lam, spec)
-        for r in spec.r_values
-        for lam in spec.lambda_values
-    ]
+    return [_run_cell(X_tr, Y_tr, X_te, Y_te, cfg) for cfg in spec.configs]
 
 
 SWEEP_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(SweepCell)]

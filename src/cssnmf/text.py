@@ -457,7 +457,8 @@ def _long_csv_fields():
 def load_corpus(path, rating_range=None, require_rating=True):
     """Read a corpus from CSV (columns id, text, rating) or JSON-lines
     (objects with the same fields), in UTF-8 with or without a byte-order
-    mark.  A CSV field may hold up to :data:`CSV_FIELD_LIMIT` characters.
+    mark.  A CSV field may hold up to :data:`CSV_FIELD_LIMIT` characters,
+    and a CSV record must have as many fields as the header.
     The rating field may be absent when
     ``require_rating`` is false.  When ``rating_range`` is a ``(lo, hi)``
     pair, every present rating must lie in ``[lo, hi]``."""
@@ -489,6 +490,11 @@ def load_corpus(path, rating_range=None, require_rating=True):
                 if missing:
                     raise ValueError(f"{path}: missing columns {sorted(missing)}")
                 for k, rec in enumerate(reader, start=2):
+                    # DictReader keys extra fields under None and fills missing ones with None.
+                    if None in rec or None in rec.values():
+                        count = "more" if None in rec else "fewer"
+                        raise ValueError(f"{path}: record {k} has {count} fields than the "
+                                         f"header's {len(reader.fieldnames)}")
                     entries.append(_entry_from_record(rec, path, k, require_rating))
             except csv.Error as err:
                 # Record 1 is the header; each record after it became an entry.

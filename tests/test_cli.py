@@ -208,11 +208,29 @@ def test_unknown_option_is_usage_error(runner):
     (["fit", "{f}", "{f}", "--r", "0"], "r must be >= 1"),
     (["fit", "{f}", "{f}", "--r", "2", "--restarts", "0"], "restarts must be >= 1"),
     (["fit", "{f}", "{f}", "--r", "2", "--tau", "0"], "tau must be > 0"),
-    (["sweep", "{f}", "{f}", "--r", "0", "--lambdas", "0"], "r values must be >= 1"),
-    (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "-1"], "lambda values must be finite"),
+    (["sweep", "{f}", "{f}", "--r", "0", "--lambdas", "0"], "r must be >= 1"),
+    (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "-1"], "lam must be finite and >= 0"),
     (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "0", "--train-frac", "1.5"],
      "train_frac must lie in (0, 1)"),
     (["ingest", "{f}", "--min-df", "2"], "df bounds must be fractions"),
+    (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "0", "--restarts", "0"],
+     "restarts must be >= 1"),
+    (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "0", "--tau", "0"], "tau must be > 0"),
+    (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "0", "--tau", "nan"], "tau must be > 0"),
+    (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "0", "--max-iter", "0"],
+     "max_iter must be >= 1"),
+    (["--seed", "-1", "fit", "{f}", "{f}", "--r", "2"], "-1 is not in the range x>=0"),
+    (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "0", "--split-seed", "-1"],
+     "-1 is not in the range x>=0"),
+    (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "0", "--fit-seed", "-1"],
+     "-1 is not in the range x>=0"),
+    (["--seed", "-1", "ingest", "{f}", "--balance-edges", "1,2,3,4,5"],
+     "-1 is not in the range x>=0"),
+    # synth reads no file; it must still refuse before writing.
+    (["synth", "--n", "0"], "n, m, r_true must all be >= 1"),
+    (["synth", "--scale", "0"], "M must be > 0"),
+    # Read as a model, the file is malformed JSON.
+    (["topics", "{f}", "--top-k", "0"], "0 is not in the range x>=1"),
 ])
 def test_out_of_range_options_are_usage_errors_before_any_file_is_read(runner, tmp_path,
                                                                        args, message):
@@ -790,6 +808,25 @@ def test_a_corpus_field_the_csv_module_refuses_exits_3_naming_file_and_record(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("body, message", [
+    ("id,text\nb\nc,good words here\n", "record 2 has fewer fields than the header's 2"),
+    # An unquoted comma in a review gives a record one field too many.
+    ("id,text,rating\na,good words,3,EXTRA\n", "record 2 has more fields than the header's 3"),
+], ids=["fewer", "more"])
+def test_a_corpus_record_with_the_wrong_field_count_exits_3_naming_file_and_record(
+        runner, tmp_path, body, message):
+    corpus = tmp_path / "c.csv"
+    corpus.write_text(body)
+    model_path = tmp_path / "model.json"
+    _planted_model(model_path, vocab=["good", "words", "here", "delta"], idf=[1.0] * 4,
+                   tfidf=NO_STOP_TFIDF)
+    for args in (["ingest", corpus], ["predict", model_path, corpus, "--input-format", "text"]):
+        res = runner.invoke(main, [str(a) for a in ["--out", tmp_path / "out", *args]])
+        assert res.exit_code == 3, res.output
+        assert f"{corpus}: {message}" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_ingest_refuses_balance_edges_that_are_not_ascending(runner, tmp_path):
     corpus_path = tmp_path / "c.csv"
     corpus_path.write_text("id,text,rating\na,apple banana,2\nb,banana cherry,4\n")
@@ -889,6 +926,11 @@ def _repeat_first_term(doc):
     return {**doc, "vocabulary": [doc["vocabulary"][0]] * len(doc["vocabulary"])}
 
 
+def _truncated(doc):
+    """A JSON document cut off after its first field."""
+    return '{"version": 1,'
+
+
 @pytest.mark.parametrize("name, edit", [
     ("model.json", _drop("r")),
     ("model.json", _drop("H")),
@@ -902,16 +944,18 @@ def _repeat_first_term(doc):
     ("vectorizer.json", lambda doc: [doc]),
     ("model.json", _repeat_first_term),
     ("vectorizer.json", _repeat_first_term),
+    ("model.json", _truncated),
+    ("vectorizer.json", _truncated),
 ], ids=["model-without-r", "model-without-H", "model-theta-number",
         "model-vocabulary-number", "model-tfidf-unknown-key", "model-array",
         "vectorizer-without-vocabulary", "vectorizer-config-unknown-key",
         "vectorizer-nan-idf", "vectorizer-array", "model-repeated-term",
-        "vectorizer-repeated-term"])
+        "vectorizer-repeated-term", "model-truncated", "vectorizer-truncated"])
 def test_malformed_model_or_vectorizer_exits_3(runner, tmp_path, fitted_text_model, name, edit):
     d = fitted_text_model
-    doc = json.loads((d / name).read_text())
+    doc = edit(json.loads((d / name).read_text()))
     bad = tmp_path / name
-    bad.write_text(json.dumps(edit(doc)))
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     if name == "model.json":
         args = ["predict", bad, d / "corpus.csv"]
     else:

@@ -371,6 +371,7 @@ def test_write_json_bytes_and_read_json(tmp_path):
     ("[1, 2]", "expected a JSON object, found list"),
     ('"version"', "expected a JSON object, found str"),
     ("{", "Expecting"),
+    ('{"version": 1,', r"d\.json: Expecting property name"),
     ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
 ])
 def test_read_json_rejects_non_objects(tmp_path, text, message):

@@ -394,6 +394,7 @@ def test_fit_rejects_bad_input():
     {"r": 1, "tau": 0.0},
     {"r": 1, "max_iter": 0},
     {"r": 1, "restarts": 0},
+    {"r": 2, "seed": -1},
 ])
 def test_fit_config_validation(kwargs):
     with pytest.raises(ValueError):

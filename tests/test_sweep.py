@@ -43,6 +43,8 @@ def test_spec_sorts_and_validates():
     spec = SweepSpec(r_values=(4, 1), lambda_values=(1.0, 0.0, 0.5))
     assert spec.r_values == (1, 4)
     assert spec.lambda_values == (0.0, 0.5, 1.0)
+    assert [(c.r, c.lam) for c in spec.configs] == [(r, lam) for r in (1, 4)
+                                                    for lam in (0.0, 0.5, 1.0)]
     with pytest.raises(ValueError):
         SweepSpec(r_values=(), lambda_values=(0.0,))
     with pytest.raises(ValueError):
@@ -51,6 +53,8 @@ def test_spec_sorts_and_validates():
         SweepSpec(r_values=(1,), lambda_values=(-1.0,))
     with pytest.raises(ValueError):
         SweepSpec(r_values=(1,), lambda_values=(0.0,), train_frac=1.0)
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        SweepSpec(r_values=(1,), lambda_values=(0.0,), restarts=0)
 
 
 def test_single_cell_matches_direct_fit():
