@@ -30,6 +30,7 @@ from .text import (
     Vocabulary,
     balance,
     build_tfidf,
+    check_edges,
     interval_index,
     is_corpus_file,
     load_corpus,
@@ -92,12 +93,7 @@ def _parse_int_list(text, what):
 
 
 def _parse_edges(text, what):
-    """Interval edges: at least two, strictly ascending (the rule of
-    :func:`cssnmf.text.balance`)."""
-    edges = _parse_float_list(text, what)
-    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
-        raise click.UsageError(f"{what} needs at least two strictly ascending edges, got {text!r}")
-    return edges
+    return _config(check_edges, edges=_parse_float_list(text, what), what=what)
 
 
 @click.group()
@@ -242,7 +238,7 @@ def fit_cmd(obj, x_path, y_path, r, lam, tau, max_iter, restarts, vectorizer):
 @click.argument("y_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--r", "r_list", required=True, help="Comma list of topic counts (e.g. 1,2,4).")
 @click.option("--lambdas", required=True,
-              help="'synth', 'text', or a comma list of lambda values.")
+              help="".join(f"'{g}', " for g in LAMBDA_GRIDS) + "or a comma list of lambda values.")
 @click.option("--restarts", type=int, default=SweepSpec.restarts, show_default=True)
 @click.option("--train-frac", type=float, default=SweepSpec.train_frac, show_default=True)
 @click.option("--split-seed", type=click.IntRange(min=0), help="Defaults to --seed.")
@@ -257,7 +253,7 @@ def fit_cmd(obj, x_path, y_path, r, lam, tau, max_iter, restarts, vectorizer):
 def sweep(obj, x_path, y_path, r_list, lambdas, restarts, train_frac,
           split_seed, fit_seed, tau, max_iter, fig_filter):
     """Fit an (r, lambda) grid and write sweep.csv."""
-    lam_values = (lambda_grid(lambdas) if lambdas in LAMBDA_GRIDS
+    lam_values = (_config(lambda_grid, name=lambdas) if lambdas.isidentifier()
                   else _parse_float_list(lambdas, "--lambdas"))
     spec = _config(SweepSpec, r_values=_parse_int_list(r_list, "--r"), lambda_values=lam_values,
                    restarts=restarts, train_frac=train_frac, tau=tau, max_iter=max_iter,

@@ -26,6 +26,19 @@ term: the ``W`` step recomputes ``N`` and ``R``, the ``H`` step ``N`` alone
 (``R`` depends on ``W`` and ``theta`` only), and the ``theta`` step ``R``
 alone (``N`` depends on ``W`` and ``H`` only).  The stored term comes from
 the same code on the same arrays, so it equals a recomputation bit for bit.
+
+Each restart is one :class:`_Restart` state: the iterate, ``H_warm``, the
+terms ``F``, ``N`` and ``R``, the trace and the stopping test's relative
+change, plus two buffers it writes on every iteration, ``[H | s theta[1:]]``
+for the ``W`` step and ``[1 | W]`` for the ``theta`` step.  Its
+:meth:`~_Restart.step` calls the same private block cores as the public
+:func:`update_w`, :func:`update_h`, :func:`update_theta` and
+:func:`normalize`, which check their inputs first; the state skips those
+checks on arrays it built itself.  ``W``'s augmented data ``[X | s(Y -
+theta[0])]`` stays a fresh ``np.hstack`` per step, dropped before the
+residual is formed: the ``hstack`` gives it ``X``'s memory order, which the
+cross product's rounding depends on, and a kept copy would double the fit's
+memory on wide text ``X``.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -124,12 +137,13 @@ def _recon_error(X, W, H):
 
     Bit-equal to ``float(np.sum(R * R))`` with ``R = X - W @ H``: the same
     elementwise operations and the same summation over an array of the same
-    layout.
+    layout (``np.sum`` of an ndarray is ``np.add.reduce``, called here
+    without its wrapper).
     """
     E = W @ H
     np.subtract(X, E, out=E)
     np.multiply(E, E, out=E)
-    return float(np.sum(E))
+    return float(np.add.reduce(E, axis=None))
 
 
 def _regress_error(Y, W, theta):
@@ -152,6 +166,14 @@ def objective(fac, X, Y, lam):
     return N + lam * R, N, R
 
 
+def _solve_theta(W, Y, W_bar):
+    """The ``theta`` step on checked arrays: writes ``W`` into columns 1: of
+    ``W_bar``, whose column 0 holds ones, and solves against ``Y``.  The
+    solve refuses a non-finite ``[1 | W]``."""
+    W_bar[:, 1:] = W
+    return lstsq(W_bar, Y)
+
+
 def update_theta(W, Y):
     """Exact regression solve: minimizes ``||[1|W] theta - Y||^2`` over theta.
 
@@ -160,8 +182,22 @@ def update_theta(W, Y):
     """
     W = np.asarray(W, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    Wbar = np.hstack([np.ones((W.shape[0], 1)), W])
-    return lstsq(Wbar, Y)
+    if W.ndim != 2:
+        raise ValueError(f"W must be a matrix, got shape {W.shape}")
+    return _solve_theta(W, Y, np.ones((W.shape[0], W.shape[1] + 1)))
+
+
+def _solve_h(X, W, H):
+    """The ``H`` step of :func:`update_h` on checked arrays."""
+    try:
+        H_new = nnls_multi(W.T @ W, W.T @ X, warm_passive=H > EPS_H)
+    except ConvergenceError as err:
+        raise ConvergenceError(
+            f"H update did not converge in column {err.column}",
+            best=err.best, column=err.column,
+        ) from err
+    np.maximum(H_new, EPS_H, out=H_new)
+    return H_new
 
 
 def update_h(X, W, H):
@@ -180,15 +216,23 @@ def update_h(X, W, H):
         raise ValueError(
             f"shape mismatch: X {X.shape}, W {W.shape}, H {H.shape}"
         )
+    return _solve_h(X, W, H)
+
+
+def _solve_w(X, Y, H_aug, theta, s, W_old):
+    """The ``W`` step of :func:`update_w` on checked arrays, once ``H_aug``
+    holds ``[H | s theta[1:]]`` (``H`` itself at ``s = 0``).
+
+    ``[X | s(Y - theta[0])]`` is built here and dropped on return.
+    """
+    X_aug = np.hstack([X, (s * (Y - theta[0]))[:, None]]) if s > 0 else X
     try:
-        H_new = nnls_multi(W.T @ W, W.T @ X, warm_passive=H > EPS_H)
+        W_new = nnls_multi(H_aug @ H_aug.T, H_aug @ X_aug.T, warm_passive=(W_old > 0).T)
     except ConvergenceError as err:
         raise ConvergenceError(
-            f"H update did not converge in column {err.column}",
-            best=err.best, column=err.column,
+            f"W update did not converge in row {err.column}", best=err.best, row=err.column
         ) from err
-    np.maximum(H_new, EPS_H, out=H_new)
-    return H_new
+    return np.ascontiguousarray(W_new.T)
 
 
 def update_w(X, Y, H, theta, lam, W_old):
@@ -213,19 +257,22 @@ def update_w(X, Y, H, theta, lam, W_old):
             f"shape mismatch: X {X.shape}, Y ({Y.shape[0]},), H {H.shape}, "
             f"theta ({theta.shape[0]},), W_old {W_old.shape}"
         )
-    if lam > 0:
-        s = np.sqrt(lam)
-        X_aug = np.hstack([X, (s * (Y - theta[0]))[:, None]])
-        H_aug = np.hstack([H, (s * theta[1:])[:, None]])
-    else:
-        X_aug, H_aug = X, H
-    try:
-        W_new = nnls_multi(H_aug @ H_aug.T, H_aug @ X_aug.T, warm_passive=(W_old > 0).T)
-    except ConvergenceError as err:
-        raise ConvergenceError(
-            f"W update did not converge in row {err.column}", best=err.best, row=err.column
-        ) from err
-    return np.ascontiguousarray(W_new.T)
+    s = np.sqrt(lam)
+    H_aug = np.hstack([H, (s * theta[1:])[:, None]]) if lam > 0 else H
+    return _solve_w(X, Y, H_aug, theta, s, W_old)
+
+
+def _normalize_factors(W, H, theta):
+    """:func:`normalize` on the factors: returns the rescaled ``(W, H, theta)``."""
+    s = np.add.reduce(H, axis=1)
+    if (s <= 0).any():
+        raise RuntimeError(
+            "internal invariant violation: H has a nonpositive row sum "
+            f"(min {s.min()!r}); the entry floor should prevent this"
+        )
+    theta = theta.copy()
+    theta[1:] = theta[1:] / s
+    return W * s[None, :], H / s[:, None], theta
 
 
 def normalize(fac):
@@ -234,89 +281,115 @@ def normalize(fac):
 
     ``W`` columns absorb the row sums; ``theta[1:]`` is divided by them.
     """
-    s = fac.H.sum(axis=1)
-    if np.any(s <= 0):
-        raise RuntimeError(
-            "internal invariant violation: H has a nonpositive row sum "
-            f"(min {s.min()!r}); the entry floor should prevent this"
-        )
-    theta = fac.theta.copy()
-    theta[1:] = theta[1:] / s
-    return Factorization(W=fac.W * s[None, :], H=fac.H / s[:, None], theta=theta)
+    return Factorization(*_normalize_factors(fac.W, fac.H, fac.theta))
 
 
-def _fit_once(X, Y, cfg, seed, restart_index):
-    """One run of the alternating loop from a fresh random initialization."""
-    n, m = X.shape
-    r = cfg.r
-    lam = cfg.lam
-    rng = np.random.default_rng(seed)
-    bound = float(X.max()) if X.size else 1.0
-    W = rng.uniform(0.0, bound, size=(n, r))
-    H = rng.uniform(0.0, bound, size=(r, m))
-    theta = rng.uniform(0.0, bound, size=r + 1)
-    # The last accepted H before normalization: its floored entries are
-    # still exactly EPS_H, so update_h leaves them out of the warm start.
-    H_warm = H
+class _Restart:
+    """One restart of the alternating loop, from a fresh random initialization.
 
-    F, N, R = objective(Factorization(W, H, theta), X, Y, lam)
-    trace = [(0, F, N, R)]
-    rel_err = np.inf
-    while rel_err > cfg.tau and len(trace) <= cfg.max_iter:
+    Holds the iterate ``W``, ``H``, ``theta``; ``H_warm``, the last accepted
+    ``H`` before normalization, whose floored entries are still exactly
+    ``EPS_H`` so the ``H`` step leaves them out of its warm start; the
+    objective terms ``F``, ``N``, ``R`` of the iterate; the trace rows
+    ``(iteration, F, N, R)``; and ``rel_err``, the stopping test's last
+    relative change.  ``H_aug`` (r x (m + 1)) and ``W_bar`` (n x (r + 1))
+    are the buffers of ``[H | s theta[1:]]`` and ``[1 | W]``.  Both are
+    C-ordered, as ``np.hstack`` of the C-ordered ``H`` and ``W`` that the
+    fit makes would be, so the products formed from them round the same.
+    """
+
+    def __init__(self, X, Y, cfg, seed):
+        n, m = X.shape
+        r = cfg.r
+        rng = np.random.default_rng(seed)
+        bound = float(X.max()) if X.size else 1.0
+        self.X, self.Y, self.lam, self.s = X, Y, cfg.lam, np.sqrt(cfg.lam)
+        self.W = rng.uniform(0.0, bound, size=(n, r))
+        self.H = self.H_warm = rng.uniform(0.0, bound, size=(r, m))
+        self.theta = rng.uniform(0.0, bound, size=r + 1)
+        self.H_aug = np.empty((r, m + 1))
+        self.W_bar = np.ones((n, r + 1))
+        self.N = _recon_error(X, self.W, self.H)
+        self.R = _regress_error(Y, self.W, self.theta)
+        self.F = self.N + self.lam * self.R
+        self.trace = [(0, self.F, self.N, self.R)]
+        self.rel_err = np.inf
+
+    def step(self):
+        """One iteration: the ``W``, ``H`` and ``theta`` steps, each kept only
+        if it does not raise ``F``, then the normalization and a trace row."""
+        X, Y, lam, s = self.X, self.Y, self.lam, self.s
+        W, H, theta, F, N, R = self.W, self.H, self.theta, self.F, self.N, self.R
         # At extreme lam the augmented system can overflow.  A non-finite
         # Gram or cross product makes nnls_multi raise ValueError, which
         # fails the restart; a finite W_new whose trial residual overflows
         # compares False below and is rejected.  Either way the IEEE
         # warnings carry no information here.
         with np.errstate(over="ignore", invalid="ignore"):
-            W_new = update_w(X, Y, H, theta, lam, W)
+            H_aug = H
+            if s > 0:
+                H_aug = self.H_aug
+                H_aug[:, :-1] = H
+                np.multiply(s, theta[1:], out=H_aug[:, -1])
+            W_new = _solve_w(X, Y, H_aug, theta, s, W)
             N_new, R_new = _recon_error(X, W_new, H), _regress_error(Y, W_new, theta)
             if (F_new := N_new + lam * R_new) <= F:
                 W, F, N, R = W_new, F_new, N_new, R_new
 
-        H_new = update_h(X, W, H_warm)
+        H_new = _solve_h(X, W, self.H_warm)
         N_new = _recon_error(X, W, H_new)
         if (F_new := N_new + lam * R) <= F:
-            H = H_warm = H_new
+            H = self.H_warm = H_new
             F, N = F_new, N_new
 
         if lam > 0:
-            theta_new = update_theta(W, Y)
+            theta_new = _solve_theta(W, Y, self.W_bar)
             R_new = _regress_error(Y, W, theta_new)
             if (F_new := N + lam * R_new) <= F:
                 theta, F, R = theta_new, F_new, R_new
 
-        fac = normalize(Factorization(W, H, theta))
-        W, H, theta = fac.W, fac.H, fac.theta
-        F_norm, N, R = objective(fac, X, Y, lam)
+        W, H, theta = _normalize_factors(W, H, theta)
+        N, R = _recon_error(X, W, H), _regress_error(Y, W, theta)
+        F_norm = N + lam * R
         if abs(F_norm - F) > 1e-9 * (1.0 + abs(F)):
             raise NumericFailure(
                 f"normalization changed the objective: {F!r} -> {F_norm!r}"
             )
-        F = F_norm
 
         # The stopping test starts at the second iteration, from a finite F.
-        F_prev = trace[-1][1]
-        if len(trace) > 1 and F_prev < np.inf:
-            rel_err = 0.0 if F_prev == 0.0 else abs(F_prev - F) / F_prev
-        trace.append((len(trace), F, N, R))
+        F_prev = self.trace[-1][1]
+        if len(self.trace) > 1 and F_prev < np.inf:
+            self.rel_err = 0.0 if F_prev == 0.0 else abs(F_prev - F_norm) / F_prev
+        self.trace.append((len(self.trace), F_norm, N, R))
+        self.W, self.H, self.theta, self.F, self.N, self.R = W, H, theta, F_norm, N, R
 
-    if lam == 0:
-        # Regression is decoupled: fit theta once against the settled weights.
-        # The last trace row then describes the returned model; F = N is
-        # unchanged, only R moves off the random initial theta.
-        theta = update_theta(W, Y)
-        F, N, R = objective(Factorization(W, H, theta), X, Y, lam)
-        trace[-1] = (trace[-1][0], F, N, R)
+    def fit_theta(self):
+        """Fit ``theta`` once against the settled weights, for ``lam = 0``,
+        where the regression is decoupled.  The last trace row then
+        describes the returned model; ``F = N`` is unchanged, only ``R``
+        moves off the random initial ``theta``."""
+        self.theta = _solve_theta(self.W, self.Y, self.W_bar)
+        self.N = _recon_error(self.X, self.W, self.H)
+        self.R = _regress_error(self.Y, self.W, self.theta)
+        self.F = self.N + self.lam * self.R
+        self.trace[-1] = (self.trace[-1][0], self.F, self.N, self.R)
 
+
+def _fit_once(X, Y, cfg, seed, restart_index):
+    """One run of the alternating loop from a fresh random initialization."""
+    state = _Restart(X, Y, cfg, seed)
+    while state.rel_err > cfg.tau and len(state.trace) <= cfg.max_iter:
+        state.step()
+    if cfg.lam == 0:
+        state.fit_theta()
     report = FitReport(
-        objective_trace=trace,
-        final_objective=trace[-1][1],
-        iterations_run=len(trace) - 1,
-        converged=bool(rel_err <= cfg.tau),
+        objective_trace=state.trace,
+        final_objective=state.trace[-1][1],
+        iterations_run=len(state.trace) - 1,
+        converged=bool(state.rel_err <= cfg.tau),
         restart_index=restart_index,
     )
-    return Factorization(W, H, theta), report
+    return Factorization(state.W, state.H, state.theta), report
 
 
 def fit(X, Y, cfg):

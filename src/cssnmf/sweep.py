@@ -35,12 +35,9 @@ LAMBDA_GRIDS = {
 
 def lambda_grid(name):
     """Named lambda ladder; see ``LAMBDA_GRIDS`` for the choices."""
-    try:
-        return list(LAMBDA_GRIDS[name])
-    except KeyError:
-        raise ValueError(
-            f"unknown lambda grid {name!r}; choices: {sorted(LAMBDA_GRIDS)}"
-        ) from None
+    if name not in LAMBDA_GRIDS:
+        raise ValueError(f"unknown lambda grid {name!r}; choices: {sorted(LAMBDA_GRIDS)}")
+    return list(LAMBDA_GRIDS[name])
 
 
 @dataclass(frozen=True)
@@ -66,6 +63,8 @@ class SweepSpec:
             raise ValueError("r_values and lambda_values must be non-empty")
         if not 0 < self.train_frac < 1:
             raise ValueError(f"train_frac must lie in (0, 1), got {self.train_frac}")
+        if int(self.split_seed) < 0:
+            raise ValueError(f"split_seed must be >= 0, got {self.split_seed}")
         configs = tuple(
             FitConfig(r=r, lam=lam, tau=self.tau, max_iter=self.max_iter,
                       seed=self.fit_seed, restarts=self.restarts)

@@ -50,6 +50,8 @@ class SyntheticConfig:
             raise ValueError(
                 f"noise_kind must be one of {NOISE_KINDS}, got {self.noise_kind!r}"
             )
+        if int(self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -405,6 +405,14 @@ def interval_index(value, edges):
     raise ValueError(f"value {value!r} falls outside intervals over {list(edges)}")
 
 
+def check_edges(edges, what="edges"):
+    """``edges`` as a list: at least two, strictly ascending, so no NaN."""
+    edges = list(edges)
+    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
+        raise ValueError(f"{what} needs at least two strictly ascending edges, got {edges}")
+    return edges
+
+
 def balance(corpus, edges, seed):
     """Subsample so every rating interval contributes the same count.
 
@@ -412,9 +420,7 @@ def balance(corpus, edges, seed):
     without replacement and deterministic in the seed.  Output preserves
     interval order, then sampled order.
     """
-    edges = list(edges)
-    if len(edges) < 2 or any(a >= b for a, b in zip(edges, edges[1:])):
-        raise ValueError(f"edges must be strictly ascending, got {edges}")
+    edges = check_edges(edges)
     buckets = [[] for _ in range(len(edges) - 1)]
     for i, e in enumerate(corpus.entries):
         if e.rating is None:

@@ -193,6 +193,16 @@ def load_matrix_csv_reference(path):
     return np.asarray(data, dtype=float), header
 
 
+def text_like_matrix(n, m, seed):
+    """About 97 % zeros, nonzero rows l1-normalized, like a TF-IDF matrix;
+    returns it with a response drawn from [1, 5)."""
+    rng = np.random.default_rng(seed)
+    X = rng.exponential(size=(n, m)) * (rng.uniform(size=(n, m)) < 0.03)
+    s = X.sum(axis=1)
+    X[s > 0] /= s[s > 0, None]
+    return X, rng.uniform(1.0, 5.0, size=n)
+
+
 # Reference oracles: the fit loop that evaluated the full objective after
 # every block step, and the objective it called, kept verbatim (apart from
 # names).  cssnmf.model._fit_once must return the same factors and trace,

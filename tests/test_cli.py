@@ -356,6 +356,7 @@ def test_sweep_bad_lambda_list_is_usage_error(runner, tmp_path):
                                str(ds_dir / "X.csv"), str(ds_dir / "Y.csv"),
                                "--r", "2", "--lambdas", "banana"])
     assert res.exit_code == 2
+    assert "unknown lambda grid 'banana'; choices: ['synth', 'text']" in res.stderr
 
 
 @pytest.mark.parametrize("r_list", ["2.7", "1,2.5", "inf"])

@@ -29,7 +29,7 @@ from cssnmf.model import (
     update_w,
 )
 from cssnmf.synthetic import SyntheticConfig, generate
-from conftest import brute_force_nnls, fit_once_reference, frob_sq
+from conftest import brute_force_nnls, fit_once_reference, frob_sq, text_like_matrix
 
 
 def random_factorization(rng, n, m, r):
@@ -405,26 +405,25 @@ def test_fit_raises_numeric_failure_when_all_restarts_fail(monkeypatch):
     def explode(X, Y, H, theta, lam, W_old):
         raise ConvergenceError("no progress", best=None)
 
-    monkeypatch.setattr(cssnmf.model, "update_w", explode)
+    monkeypatch.setattr(cssnmf.model, "_solve_w", explode)
     X = np.abs(np.random.default_rng(17).uniform(size=(5, 4)))
     with pytest.raises(NumericFailure):
         fit(X, np.zeros(5), FitConfig(r=2, lam=0.0, restarts=3))
-
-
-def text_like_matrix(n, m, seed):
-    """About 97 % zeros, nonzero rows l1-normalized, like a TF-IDF matrix."""
-    rng = np.random.default_rng(seed)
-    X = rng.exponential(size=(n, m)) * (rng.uniform(size=(n, m)) < 0.03)
-    s = X.sum(axis=1)
-    X[s > 0] /= s[s > 0, None]
-    return X, rng.uniform(1.0, 5.0, size=n)
 
 
 def reference_data(kind):
     if kind == "text":
         return text_like_matrix(60, 90, seed=21)
     ds = generate(SyntheticConfig(n=40, m=24, r_true=4, M=10.0, eta_x=2.0, eta_y=2.0, seed=22))
-    X = np.asfortranarray(ds.X) if kind == "fortran" else ds.X
+    X = ds.X
+    if kind == "fortran":
+        X = np.asfortranarray(X)
+    elif kind == "strided":
+        # Every other column of a wider matrix: neither C- nor F-ordered.
+        wide = np.zeros((X.shape[0], 2 * X.shape[1]))
+        wide[:, ::2] = X
+        X = wide[:, ::2]
+        assert not (X.flags.c_contiguous or X.flags.f_contiguous)
     return X, ds.Y
 
 
@@ -436,7 +435,7 @@ def assert_fits_equal(got, want):
     assert report == ref_report
 
 
-@pytest.mark.parametrize("kind", ["dense", "text", "fortran"])
+@pytest.mark.parametrize("kind", ["dense", "text", "fortran", "strided"])
 @pytest.mark.parametrize("r", [1, 4, 11])
 @pytest.mark.parametrize("lam", [0.0, 0.01, 1.0, 1e4])
 def test_fit_matches_reference_fit_loop(monkeypatch, kind, r, lam):
@@ -470,22 +469,26 @@ def spy_fit_steps(monkeypatch):
 
     Returns a list that fills with ``(name, args, result)`` in call order,
     ``name`` being ``"update_w"``, ``"update_h"``, ``"update_theta"`` or
-    ``"normalize"``.
+    ``"normalize"``.  The fit calls the private core of each, which is what
+    is spied; the normalization core's ``(W, H, theta)`` are recorded as the
+    ``Factorization`` that :func:`normalize` takes.
     """
     calls = []
 
-    def spy(name):
-        original = getattr(cssnmf.model, name)
+    def spy(name, core, as_args=lambda *args: args):
+        original = getattr(cssnmf.model, core)
 
         def recording(*args):
             result = original(*args)
-            calls.append((name, args, result))
+            calls.append((name, as_args(*args), result))
             return result
 
-        monkeypatch.setattr(cssnmf.model, name, recording)
+        monkeypatch.setattr(cssnmf.model, core, recording)
 
-    for name in ("update_w", "update_h", "update_theta", "normalize"):
-        spy(name)
+    spy("update_w", "_solve_w")
+    spy("update_h", "_solve_h")
+    spy("update_theta", "_solve_theta")
+    spy("normalize", "_normalize_factors", lambda W, H, theta: (Factorization(W, H, theta),))
     return calls
 
 

@@ -1,7 +1,8 @@
 """Text rows streamed one block of documents at a time: the rows, the zero
 rows, the ingested ``X.csv`` and text ``predict``'s scores must be those of
 the whole corpus handled at once, and neither command may hold a dense
-matrix of every document."""
+matrix of every document.  A fit on a text-like X may hold one more X-sized
+array, not two."""
 
 import csv
 import json
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import row_from_counts_reference, save_matrix_csv_reference
+from conftest import row_from_counts_reference, save_matrix_csv_reference, text_like_matrix
 from cssnmf.cli import main
 from cssnmf.io import write_table
-from cssnmf.model import Factorization, FitConfig, FitReport, predict_many, save_model
+from cssnmf.model import Factorization, FitConfig, FitReport, fit, predict_many, save_model
 from cssnmf.text import (
     BLOCK_ROWS,
     RatedCorpus,
@@ -171,3 +172,17 @@ def test_ingest_and_predict_peak_below_half_a_dense_matrix(tmp_path, guard_corpu
     text_model(model_path, doc["vocabulary"], doc["idf"], doc["config"], r=3, seed=2)
     predict_peak = traced_peak(["--out", tmp_path / "p", "predict", model_path, guard_corpus])
     assert predict_peak < dense_bytes / 2, (predict_peak, dense_bytes)
+
+
+def test_fit_peak_below_one_and_a_half_x():
+    # A fit holds one n x m array at a time beside X: the W step's augmented
+    # [X | s(Y - theta[0])], then a residual.  Keeping the first while
+    # forming the second would take the peak to about 2 X.
+    X, Y = text_like_matrix(1500, 1200, seed=31)
+    tracemalloc.start()
+    try:
+        fit(X, Y, FitConfig(r=11, lam=0.01, max_iter=2, restarts=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * X.nbytes, (peak, X.nbytes)

@@ -55,6 +55,8 @@ def test_spec_sorts_and_validates():
         SweepSpec(r_values=(1,), lambda_values=(0.0,), train_frac=1.0)
     with pytest.raises(ValueError, match="restarts must be >= 1"):
         SweepSpec(r_values=(1,), lambda_values=(0.0,), restarts=0)
+    with pytest.raises(ValueError, match="split_seed must be >= 0"):
+        SweepSpec(r_values=(1,), lambda_values=(0.0,), split_seed=-1)
 
 
 def test_single_cell_matches_direct_fit():

@@ -74,6 +74,7 @@ def test_truncation_rate_matches_gaussian_oracle():
     {"M": 0.0},
     {"eta_x": -1.0},
     {"noise_kind": "exponential"},
+    {"seed": -1},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
