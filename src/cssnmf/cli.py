@@ -253,8 +253,10 @@ def fit_cmd(obj, x_path, y_path, r, lam, tau, max_iter, restarts, vectorizer):
 def sweep(obj, x_path, y_path, r_list, lambdas, restarts, train_frac,
           split_seed, fit_seed, tau, max_iter, fig_filter):
     """Fit an (r, lambda) grid and write sweep.csv."""
-    lam_values = (_config(lambda_grid, name=lambdas) if lambdas.isidentifier()
-                  else _parse_float_list(lambdas, "--lambdas"))
+    try:
+        lam_values = _parse_float_list(lambdas, "--lambdas")
+    except click.UsageError:
+        lam_values = _config(lambda_grid, name=lambdas)
     spec = _config(SweepSpec, r_values=_parse_int_list(r_list, "--r"), lambda_values=lam_values,
                    restarts=restarts, train_frac=train_frac, tau=tau, max_iter=max_iter,
                    split_seed=obj["seed"] if split_seed is None else split_seed,

@@ -29,16 +29,14 @@ the same code on the same arrays, so it equals a recomputation bit for bit.
 
 Each restart is one :class:`_Restart` state: the iterate, ``H_warm``, the
 terms ``F``, ``N`` and ``R``, the trace and the stopping test's relative
-change, plus two buffers it writes on every iteration, ``[H | s theta[1:]]``
-for the ``W`` step and ``[1 | W]`` for the ``theta`` step.  Its
-:meth:`~_Restart.step` calls the same private block cores as the public
-:func:`update_w`, :func:`update_h`, :func:`update_theta` and
+change.  Its :meth:`~_Restart.step` calls the same private block cores as
+the public :func:`update_w`, :func:`update_h`, :func:`update_theta` and
 :func:`normalize`, which check their inputs first; the state skips those
-checks on arrays it built itself.  ``W``'s augmented data ``[X | s(Y -
-theta[0])]`` stays a fresh ``np.hstack`` per step, dropped before the
-residual is formed: the ``hstack`` gives it ``X``'s memory order, which the
-cross product's rounding depends on, and a kept copy would double the fit's
-memory on wide text ``X``.
+checks on arrays it built itself.  The cores build the augmented arrays
+``[X | s(Y - theta[0])]``, ``[H | s theta[1:]]`` and ``[1 | W]`` as fresh
+``np.hstack`` results, dropped on return: the ``hstack`` gives ``X_aug``
+``X``'s memory order, which the cross product's rounding depends on, and a
+kept copy of it would double the fit's memory on wide text ``X``.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -166,12 +164,10 @@ def objective(fac, X, Y, lam):
     return N + lam * R, N, R
 
 
-def _solve_theta(W, Y, W_bar):
-    """The ``theta`` step on checked arrays: writes ``W`` into columns 1: of
-    ``W_bar``, whose column 0 holds ones, and solves against ``Y``.  The
+def _solve_theta(W, Y):
+    """The ``theta`` step of :func:`update_theta` on checked arrays.  The
     solve refuses a non-finite ``[1 | W]``."""
-    W_bar[:, 1:] = W
-    return lstsq(W_bar, Y)
+    return lstsq(np.hstack([np.ones((W.shape[0], 1)), W]), Y)
 
 
 def update_theta(W, Y):
@@ -182,9 +178,7 @@ def update_theta(W, Y):
     """
     W = np.asarray(W, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if W.ndim != 2:
-        raise ValueError(f"W must be a matrix, got shape {W.shape}")
-    return _solve_theta(W, Y, np.ones((W.shape[0], W.shape[1] + 1)))
+    return _solve_theta(W, Y)
 
 
 def _solve_h(X, W, H):
@@ -219,13 +213,14 @@ def update_h(X, W, H):
     return _solve_h(X, W, H)
 
 
-def _solve_w(X, Y, H_aug, theta, s, W_old):
-    """The ``W`` step of :func:`update_w` on checked arrays, once ``H_aug``
-    holds ``[H | s theta[1:]]`` (``H`` itself at ``s = 0``).
-
-    ``[X | s(Y - theta[0])]`` is built here and dropped on return.
-    """
-    X_aug = np.hstack([X, (s * (Y - theta[0]))[:, None]]) if s > 0 else X
+def _solve_w(X, Y, H, theta, lam, W_old):
+    """The ``W`` step of :func:`update_w` on checked arrays."""
+    if lam > 0:
+        s = np.sqrt(lam)
+        X_aug = np.hstack([X, (s * (Y - theta[0]))[:, None]])
+        H_aug = np.hstack([H, (s * theta[1:])[:, None]])
+    else:
+        X_aug, H_aug = X, H
     try:
         W_new = nnls_multi(H_aug @ H_aug.T, H_aug @ X_aug.T, warm_passive=(W_old > 0).T)
     except ConvergenceError as err:
@@ -257,9 +252,7 @@ def update_w(X, Y, H, theta, lam, W_old):
             f"shape mismatch: X {X.shape}, Y ({Y.shape[0]},), H {H.shape}, "
             f"theta ({theta.shape[0]},), W_old {W_old.shape}"
         )
-    s = np.sqrt(lam)
-    H_aug = np.hstack([H, (s * theta[1:])[:, None]]) if lam > 0 else H
-    return _solve_w(X, Y, H_aug, theta, s, W_old)
+    return _solve_w(X, Y, H, theta, lam, W_old)
 
 
 def _normalize_factors(W, H, theta):
@@ -292,10 +285,7 @@ class _Restart:
     ``EPS_H`` so the ``H`` step leaves them out of its warm start; the
     objective terms ``F``, ``N``, ``R`` of the iterate; the trace rows
     ``(iteration, F, N, R)``; and ``rel_err``, the stopping test's last
-    relative change.  ``H_aug`` (r x (m + 1)) and ``W_bar`` (n x (r + 1))
-    are the buffers of ``[H | s theta[1:]]`` and ``[1 | W]``.  Both are
-    C-ordered, as ``np.hstack`` of the C-ordered ``H`` and ``W`` that the
-    fit makes would be, so the products formed from them round the same.
+    relative change.
     """
 
     def __init__(self, X, Y, cfg, seed):
@@ -303,12 +293,10 @@ class _Restart:
         r = cfg.r
         rng = np.random.default_rng(seed)
         bound = float(X.max()) if X.size else 1.0
-        self.X, self.Y, self.lam, self.s = X, Y, cfg.lam, np.sqrt(cfg.lam)
+        self.X, self.Y, self.lam = X, Y, cfg.lam
         self.W = rng.uniform(0.0, bound, size=(n, r))
         self.H = self.H_warm = rng.uniform(0.0, bound, size=(r, m))
         self.theta = rng.uniform(0.0, bound, size=r + 1)
-        self.H_aug = np.empty((r, m + 1))
-        self.W_bar = np.ones((n, r + 1))
         self.N = _recon_error(X, self.W, self.H)
         self.R = _regress_error(Y, self.W, self.theta)
         self.F = self.N + self.lam * self.R
@@ -318,7 +306,7 @@ class _Restart:
     def step(self):
         """One iteration: the ``W``, ``H`` and ``theta`` steps, each kept only
         if it does not raise ``F``, then the normalization and a trace row."""
-        X, Y, lam, s = self.X, self.Y, self.lam, self.s
+        X, Y, lam = self.X, self.Y, self.lam
         W, H, theta, F, N, R = self.W, self.H, self.theta, self.F, self.N, self.R
         # At extreme lam the augmented system can overflow.  A non-finite
         # Gram or cross product makes nnls_multi raise ValueError, which
@@ -326,12 +314,7 @@ class _Restart:
         # compares False below and is rejected.  Either way the IEEE
         # warnings carry no information here.
         with np.errstate(over="ignore", invalid="ignore"):
-            H_aug = H
-            if s > 0:
-                H_aug = self.H_aug
-                H_aug[:, :-1] = H
-                np.multiply(s, theta[1:], out=H_aug[:, -1])
-            W_new = _solve_w(X, Y, H_aug, theta, s, W)
+            W_new = _solve_w(X, Y, H, theta, lam, W)
             N_new, R_new = _recon_error(X, W_new, H), _regress_error(Y, W_new, theta)
             if (F_new := N_new + lam * R_new) <= F:
                 W, F, N, R = W_new, F_new, N_new, R_new
@@ -343,7 +326,7 @@ class _Restart:
             F, N = F_new, N_new
 
         if lam > 0:
-            theta_new = _solve_theta(W, Y, self.W_bar)
+            theta_new = _solve_theta(W, Y)
             R_new = _regress_error(Y, W, theta_new)
             if (F_new := N + lam * R_new) <= F:
                 theta, F, R = theta_new, F_new, R_new
@@ -368,7 +351,7 @@ class _Restart:
         where the regression is decoupled.  The last trace row then
         describes the returned model; ``F = N`` is unchanged, only ``R``
         moves off the random initial ``theta``."""
-        self.theta = _solve_theta(self.W, self.Y, self.W_bar)
+        self.theta = _solve_theta(self.W, self.Y)
         self.N = _recon_error(self.X, self.W, self.H)
         self.R = _regress_error(self.Y, self.W, self.theta)
         self.F = self.N + self.lam * self.R

@@ -407,8 +407,7 @@ def interval_index(value, edges):
 
 def check_edges(edges, what="edges"):
     """``edges`` as a list: at least two, strictly ascending, so no NaN."""
-    edges = list(edges)
-    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
+    if len(edges := list(edges)) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
         raise ValueError(f"{what} needs at least two strictly ascending edges, got {edges}")
     return edges
 

@@ -42,8 +42,8 @@ def descent_suite():
     residuals = []
     original = cssnmf.model._solve_theta
 
-    def recording_update_theta(W, Y, *buffer):
-        theta = original(W, Y, *buffer)
+    def recording_update_theta(W, Y):
+        theta = original(W, Y)
         W_bar = np.hstack([np.ones((W.shape[0], 1)), W])
         resid = np.max(np.abs(W_bar.T @ (W_bar @ theta - Y)))
         bound = 1e-8 * (1 + np.max(np.abs(W_bar.T @ Y)))

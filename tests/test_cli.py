@@ -352,11 +352,13 @@ def test_sweep_figure_filter_writes_second_csv(runner, tmp_path):
 def test_sweep_bad_lambda_list_is_usage_error(runner, tmp_path):
     ds_dir = tmp_path / "ds"
     invoke(runner, ["--seed", 9, "--out", ds_dir, "synth", "--n", 10, "--m", 5])
-    res = runner.invoke(main, ["--out", str(tmp_path), "sweep",
-                               str(ds_dir / "X.csv"), str(ds_dir / "Y.csv"),
-                               "--r", "2", "--lambdas", "banana"])
-    assert res.exit_code == 2
-    assert "unknown lambda grid 'banana'; choices: ['synth', 'text']" in res.stderr
+    for lambdas, message in [("banana", "unknown lambda grid 'banana'; choices: ['synth', 'text']"),
+                             ("nan", "lam must be finite and >= 0")]:
+        res = runner.invoke(main, ["--out", str(tmp_path), "sweep",
+                                   str(ds_dir / "X.csv"), str(ds_dir / "Y.csv"),
+                                   "--r", "2", "--lambdas", lambdas])
+        assert res.exit_code == 2
+        assert message in res.stderr
 
 
 @pytest.mark.parametrize("r_list", ["2.7", "1,2.5", "inf"])
