@@ -56,6 +56,10 @@ def _mapped(fn):
         except (ValueError, OSError) as err:
             click.echo(f"error: {err}", err=True)
             sys.exit(3)
+        except MemoryError as err:
+            # numpy's message names the size and shape it could not allocate.
+            click.echo(f"error: out of memory: {err}", err=True)
+            sys.exit(3)
 
     return wrapper
 

@@ -29,10 +29,10 @@ the same code on the same arrays, so it equals a recomputation bit for bit.
 
 Each restart is one :class:`_Restart` state: the iterate, ``H_warm``, the
 terms ``F``, ``N`` and ``R``, the trace and the stopping test's relative
-change.  Its :meth:`~_Restart.step` calls the same private block cores as
-the public :func:`update_w`, :func:`update_h`, :func:`update_theta` and
-:func:`normalize`, which check their inputs first; the state skips those
-checks on arrays it built itself.  The cores build the augmented arrays
+change.  Its :meth:`~_Restart.step` calls the public :func:`update_w`,
+:func:`update_h`, :func:`update_theta` and :func:`normalize`, whose input
+checks cost O(1) next to the solves (``np.asarray`` of a float array is the
+array itself).  The updates build the augmented arrays
 ``[X | s(Y - theta[0])]``, ``[H | s theta[1:]]`` and ``[1 | W]`` as fresh
 ``np.hstack`` results, dropped on return: the ``hstack`` gives ``X_aug``
 ``X``'s memory order, which the cross product's rounding depends on, and a
@@ -164,34 +164,15 @@ def objective(fac, X, Y, lam):
     return N + lam * R, N, R
 
 
-def _solve_theta(W, Y):
-    """The ``theta`` step of :func:`update_theta` on checked arrays.  The
-    solve refuses a non-finite ``[1 | W]``."""
-    return lstsq(np.hstack([np.ones((W.shape[0], 1)), W]), Y)
-
-
 def update_theta(W, Y):
     """Exact regression solve: minimizes ``||[1|W] theta - Y||^2`` over theta.
 
     Rank-deficient systems resolve via the pseudo-inverse, so the result is
-    the minimum-norm minimizer.
+    the minimum-norm minimizer.  The solve refuses a non-finite ``[1 | W]``.
     """
     W = np.asarray(W, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    return _solve_theta(W, Y)
-
-
-def _solve_h(X, W, H):
-    """The ``H`` step of :func:`update_h` on checked arrays."""
-    try:
-        H_new = nnls_multi(W.T @ W, W.T @ X, warm_passive=H > EPS_H)
-    except ConvergenceError as err:
-        raise ConvergenceError(
-            f"H update did not converge in column {err.column}",
-            best=err.best, column=err.column,
-        ) from err
-    np.maximum(H_new, EPS_H, out=H_new)
-    return H_new
+    return lstsq(np.hstack([np.ones((W.shape[0], 1)), W]), Y)
 
 
 def update_h(X, W, H):
@@ -210,24 +191,15 @@ def update_h(X, W, H):
         raise ValueError(
             f"shape mismatch: X {X.shape}, W {W.shape}, H {H.shape}"
         )
-    return _solve_h(X, W, H)
-
-
-def _solve_w(X, Y, H, theta, lam, W_old):
-    """The ``W`` step of :func:`update_w` on checked arrays."""
-    if lam > 0:
-        s = np.sqrt(lam)
-        X_aug = np.hstack([X, (s * (Y - theta[0]))[:, None]])
-        H_aug = np.hstack([H, (s * theta[1:])[:, None]])
-    else:
-        X_aug, H_aug = X, H
     try:
-        W_new = nnls_multi(H_aug @ H_aug.T, H_aug @ X_aug.T, warm_passive=(W_old > 0).T)
+        H_new = nnls_multi(W.T @ W, W.T @ X, warm_passive=H > EPS_H)
     except ConvergenceError as err:
         raise ConvergenceError(
-            f"W update did not converge in row {err.column}", best=err.best, row=err.column
+            f"H update did not converge in column {err.column}",
+            best=err.best, column=err.column,
         ) from err
-    return np.ascontiguousarray(W_new.T)
+    np.maximum(H_new, EPS_H, out=H_new)
+    return H_new
 
 
 def update_w(X, Y, H, theta, lam, W_old):
@@ -245,27 +217,26 @@ def update_w(X, Y, H, theta, lam, W_old):
     W_old = np.asarray(W_old, dtype=float)
     n, m = X.shape
     r = H.shape[0]
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not np.isfinite(lam) or lam < 0:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     if H.shape[1] != m or W_old.shape != (n, r) or theta.shape[0] != r + 1 or Y.shape[0] != n:
         raise ValueError(
             f"shape mismatch: X {X.shape}, Y ({Y.shape[0]},), H {H.shape}, "
             f"theta ({theta.shape[0]},), W_old {W_old.shape}"
         )
-    return _solve_w(X, Y, H, theta, lam, W_old)
-
-
-def _normalize_factors(W, H, theta):
-    """:func:`normalize` on the factors: returns the rescaled ``(W, H, theta)``."""
-    s = np.add.reduce(H, axis=1)
-    if (s <= 0).any():
-        raise RuntimeError(
-            "internal invariant violation: H has a nonpositive row sum "
-            f"(min {s.min()!r}); the entry floor should prevent this"
-        )
-    theta = theta.copy()
-    theta[1:] = theta[1:] / s
-    return W * s[None, :], H / s[:, None], theta
+    if lam > 0:
+        s = np.sqrt(lam)
+        X_aug = np.hstack([X, (s * (Y - theta[0]))[:, None]])
+        H_aug = np.hstack([H, (s * theta[1:])[:, None]])
+    else:
+        X_aug, H_aug = X, H
+    try:
+        W_new = nnls_multi(H_aug @ H_aug.T, H_aug @ X_aug.T, warm_passive=(W_old > 0).T)
+    except ConvergenceError as err:
+        raise ConvergenceError(
+            f"W update did not converge in row {err.column}", best=err.best, row=err.column
+        ) from err
+    return np.ascontiguousarray(W_new.T)
 
 
 def normalize(fac):
@@ -274,7 +245,15 @@ def normalize(fac):
 
     ``W`` columns absorb the row sums; ``theta[1:]`` is divided by them.
     """
-    return Factorization(*_normalize_factors(fac.W, fac.H, fac.theta))
+    s = np.add.reduce(fac.H, axis=1)
+    if (s <= 0).any():
+        raise RuntimeError(
+            "internal invariant violation: H has a nonpositive row sum "
+            f"(min {s.min()!r}); the entry floor should prevent this"
+        )
+    theta = fac.theta.copy()
+    theta[1:] = theta[1:] / s
+    return Factorization(fac.W * s[None, :], fac.H / s[:, None], theta)
 
 
 class _Restart:
@@ -314,24 +293,25 @@ class _Restart:
         # compares False below and is rejected.  Either way the IEEE
         # warnings carry no information here.
         with np.errstate(over="ignore", invalid="ignore"):
-            W_new = _solve_w(X, Y, H, theta, lam, W)
+            W_new = update_w(X, Y, H, theta, lam, W)
             N_new, R_new = _recon_error(X, W_new, H), _regress_error(Y, W_new, theta)
             if (F_new := N_new + lam * R_new) <= F:
                 W, F, N, R = W_new, F_new, N_new, R_new
 
-        H_new = _solve_h(X, W, self.H_warm)
+        H_new = update_h(X, W, self.H_warm)
         N_new = _recon_error(X, W, H_new)
         if (F_new := N_new + lam * R) <= F:
             H = self.H_warm = H_new
             F, N = F_new, N_new
 
         if lam > 0:
-            theta_new = _solve_theta(W, Y)
+            theta_new = update_theta(W, Y)
             R_new = _regress_error(Y, W, theta_new)
             if (F_new := N + lam * R_new) <= F:
                 theta, F, R = theta_new, F_new, R_new
 
-        W, H, theta = _normalize_factors(W, H, theta)
+        fac = normalize(Factorization(W, H, theta))
+        W, H, theta = fac.W, fac.H, fac.theta
         N, R = _recon_error(X, W, H), _regress_error(Y, W, theta)
         F_norm = N + lam * R
         if abs(F_norm - F) > 1e-9 * (1.0 + abs(F)):
@@ -351,7 +331,7 @@ class _Restart:
         where the regression is decoupled.  The last trace row then
         describes the returned model; ``F = N`` is unchanged, only ``R``
         moves off the random initial ``theta``."""
-        self.theta = _solve_theta(self.W, self.Y)
+        self.theta = update_theta(self.W, self.Y)
         self.N = _recon_error(self.X, self.W, self.H)
         self.R = _regress_error(self.Y, self.W, self.theta)
         self.F = self.N + self.lam * self.R

@@ -204,9 +204,10 @@ def text_like_matrix(n, m, seed):
 
 
 # Reference oracles: the fit loop that evaluated the full objective after
-# every block step, and the objective it called, kept verbatim (apart from
-# names).  cssnmf.model._fit_once must return the same factors and trace,
-# bit for bit.
+# every block step, and the objective it called, kept verbatim apart from
+# names and the H step's warm start, which follows the fit's rule (the last
+# accepted H before normalization).  cssnmf.model._fit_once must return the
+# same factors and trace, bit for bit.
 
 
 def objective_reference(fac, X, Y, lam):
@@ -232,7 +233,7 @@ def fit_once_reference(X, Y, cfg, seed, restart_index):
     rng = np.random.default_rng(seed)
     bound = float(X.max()) if X.size else 1.0
     W = rng.uniform(0.0, bound, size=(n, r))
-    H = rng.uniform(0.0, bound, size=(r, m))
+    H = H_warm = rng.uniform(0.0, bound, size=(r, m))
     theta = rng.uniform(0.0, bound, size=r + 1)
 
     F, N, R = objective_reference(Factorization(W, H, theta), X, Y, lam)
@@ -250,10 +251,11 @@ def fit_once_reference(X, Y, cfg, seed, restart_index):
         if F_new <= F:
             W, F, N, R = W_new, F_new, N_new, R_new
 
-        H_new = update_h(X, W, H)
+        H_new = update_h(X, W, H_warm)
         F_new, N_new, R_new = objective_reference(Factorization(W, H_new, theta), X, Y, lam)
         if F_new <= F:
-            H, F, N, R = H_new, F_new, N_new, R_new
+            H = H_warm = H_new
+            F, N, R = F_new, N_new, R_new
 
         if lam > 0:
             theta_new = update_theta(W, Y)

@@ -40,7 +40,7 @@ def descent_suite():
     """
     combos = [(r, lam) for r in (2, 4) for lam in (0.0, 0.1, 10.0)]
     residuals = []
-    original = cssnmf.model._solve_theta
+    original = cssnmf.model.update_theta
 
     def recording_update_theta(W, Y):
         theta = original(W, Y)
@@ -52,7 +52,7 @@ def descent_suite():
 
     traces = []
     start = time.monotonic()
-    cssnmf.model._solve_theta = recording_update_theta
+    cssnmf.model.update_theta = recording_update_theta
     try:
         for k in range(20):
             r, lam = combos[k % len(combos)]
@@ -63,7 +63,7 @@ def descent_suite():
                                                   restarts=3))
             traces.append((r, lam, report.objective_trace))
     finally:
-        cssnmf.model._solve_theta = original
+        cssnmf.model.update_theta = original
     elapsed = time.monotonic() - start
     return traces, residuals, elapsed
 

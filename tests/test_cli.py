@@ -199,6 +199,22 @@ def test_fit_numeric_failure_exit_code(runner, tmp_path, monkeypatch):
     assert "numeric failure" in res.stderr
 
 
+def test_an_array_too_large_to_allocate_is_a_data_error(runner, tmp_path, monkeypatch):
+    # The allocation is refused by a stand-in: a real oversized shape can
+    # first allocate gigabytes before the request that fails.
+    def refuse(cfg):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array with shape "
+                          "(100000000, 100000) and data type float64")
+
+    monkeypatch.setattr(cssnmf.cli, "generate", refuse)
+    res = runner.invoke(main, ["--out", str(tmp_path), "synth", "--n", "100000000",
+                               "--m", "100000"])
+    assert res.exit_code == 3
+    assert res.stderr == ("error: out of memory: Unable to allocate 72.8 TiB for an array "
+                          "with shape (100000000, 100000) and data type float64\n")
+    assert "Traceback" not in res.output
+
+
 def test_unknown_option_is_usage_error(runner):
     res = runner.invoke(main, ["synth", "--does-not-exist"])
     assert res.exit_code == 2

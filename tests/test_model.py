@@ -212,6 +212,14 @@ def test_update_w_does_not_increase_objective():
         assert np.all(W_new >= 0)
 
 
+@pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+def test_update_w_rejects_negative_or_non_finite_lambda(lam):
+    # NaN would otherwise fail every ``lam > 0`` test and run the lam = 0
+    # update; inf would fail later, in the kernel, naming the Gram matrix.
+    with pytest.raises(ValueError, match=f"lam must be finite and >= 0, got {lam}"):
+        update_w(np.ones((3, 4)), np.ones(3), np.ones((2, 4)), np.zeros(3), lam, np.ones((3, 2)))
+
+
 def _failing_kernel(column):
     def explode(AtA, AtB, max_iter=None, warm_passive=None):
         raise ConvergenceError("stuck", best=np.zeros(AtA.shape[0]), column=column)
@@ -405,7 +413,7 @@ def test_fit_raises_numeric_failure_when_all_restarts_fail(monkeypatch):
     def explode(X, Y, H, theta, lam, W_old):
         raise ConvergenceError("no progress", best=None)
 
-    monkeypatch.setattr(cssnmf.model, "_solve_w", explode)
+    monkeypatch.setattr(cssnmf.model, "update_w", explode)
     X = np.abs(np.random.default_rng(17).uniform(size=(5, 4)))
     with pytest.raises(NumericFailure):
         fit(X, np.zeros(5), FitConfig(r=2, lam=0.0, restarts=3))
@@ -469,26 +477,22 @@ def spy_fit_steps(monkeypatch):
 
     Returns a list that fills with ``(name, args, result)`` in call order,
     ``name`` being ``"update_w"``, ``"update_h"``, ``"update_theta"`` or
-    ``"normalize"``.  The fit calls the private core of each, which is what
-    is spied; the normalization core's ``(W, H, theta)`` are recorded as the
-    ``Factorization`` that :func:`normalize` takes.
+    ``"normalize"``.
     """
     calls = []
 
-    def spy(name, core, as_args=lambda *args: args):
-        original = getattr(cssnmf.model, core)
+    def spy(name):
+        original = getattr(cssnmf.model, name)
 
         def recording(*args):
             result = original(*args)
-            calls.append((name, as_args(*args), result))
+            calls.append((name, args, result))
             return result
 
-        monkeypatch.setattr(cssnmf.model, core, recording)
+        monkeypatch.setattr(cssnmf.model, name, recording)
 
-    spy("update_w", "_solve_w")
-    spy("update_h", "_solve_h")
-    spy("update_theta", "_solve_theta")
-    spy("normalize", "_normalize_factors", lambda W, H, theta: (Factorization(W, H, theta),))
+    for name in ("update_w", "update_h", "update_theta", "normalize"):
+        spy(name)
     return calls
 
 
