@@ -7,17 +7,31 @@ deliberately small and deterministic:
   squares on precomputed cross products, one column per problem.  It is
   the only NNLS code path: the factor updates, prediction and :func:`nnls`
   all call it.  Each round sorts its columns by passive-set size and makes
-  one stacked single-right-hand-side ``np.linalg.solve`` per size; if a
+  one stacked single-right-hand-side LAPACK ``gesv`` solve per size; if a
   size group holds a singular system, each member of that group is solved
-  alone, by ``solve`` and then ``lstsq``.
+  alone, by ``gesv`` and then ``gelsd``.
 * :func:`nnls` -- the one-problem case of :func:`nnls_multi`.
-* :func:`lstsq` -- SVD-backed least squares that degrades to the
-  pseudo-inverse (minimum-norm solution) on rank-deficient systems.
+* :func:`lstsq` -- SVD-backed least squares (LAPACK ``gelsd``) that
+  degrades to the pseudo-inverse (minimum-norm solution) on rank-deficient
+  systems.
+
+The systems are small (a fit's passive sets hold a handful of indices), so
+``np.linalg.solve`` and ``np.linalg.lstsq`` would spend most of each call in
+their Python wrappers.  The kernels call the LAPACK gufuncs those wrappers
+call, ``numpy.linalg._umath_linalg.solve1`` and ``lstsq``, on float64 and
+under the errstate the wrappers set, so every result has the wrappers' bits
+and a failure raises the same ``LinAlgError``.  The gufuncs are private numpy
+API: where one is missing, its binding is the public wrapper instead.
 """
 
 import itertools
 
 import numpy as np
+
+try:
+    from numpy.linalg import _umath_linalg
+except ImportError:
+    _umath_linalg = None
 
 __all__ = ["ConvergenceError", "nnls", "nnls_multi", "lstsq"]
 
@@ -59,6 +73,49 @@ def _as_vector(b, name):
     return np.ascontiguousarray(b)
 
 
+def _gesv_public(M, v):
+    """``z`` with ``M[..., :, :] z[..., :] = v[..., :]``, by ``np.linalg.solve``."""
+    return np.linalg.solve(M, v[..., None])[..., 0]
+
+
+def _gelsd_public(A, b, rcond):
+    """Minimum-norm least-squares ``x`` of ``A x = b``, by ``np.linalg.lstsq``."""
+    return np.linalg.lstsq(A, b, rcond=rcond)[0]
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _raise_lstsq(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+# The LAPACK bindings, chosen once.  Each gufunc reports a LAPACK failure as
+# an invalid floating-point operation, which the errstate turns into a call
+# of the raising handler, as ``np.linalg`` does.
+_solve1 = getattr(_umath_linalg, "solve1", None)
+_lstsq = getattr(_umath_linalg, "lstsq", None)
+
+if _solve1 is None:
+    _gesv = _gesv_public
+else:
+    @np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+                 under="ignore")
+    def _gesv(M, v):
+        """``_gesv_public`` through ``solve1`` (LAPACK ``dgesv``)."""
+        return _solve1(M, v, signature="dd->d")
+
+if _lstsq is None:
+    _gelsd = _gelsd_public
+else:
+    @np.errstate(call=_raise_lstsq, invalid="call", over="ignore", divide="ignore",
+                 under="ignore")
+    def _gelsd(A, b, rcond):
+        """``_gelsd_public`` through ``lstsq`` (LAPACK ``dgelsd``)."""
+        return _lstsq(A, b[:, None], rcond, signature="ddd->ddid")[0][:, 0].copy()
+
+
 def lstsq(A, b):
     """Minimum-norm least-squares solution of ``A x = b``.
 
@@ -80,28 +137,27 @@ def lstsq(A, b):
         raise ValueError(
             f"incompatible shapes: A is {A.shape[0]}x{A.shape[1]}, b has length {b.shape[0]}"
         )
-    x, _, _, _ = np.linalg.lstsq(A, b, rcond=SVD_CUTOFF)
-    return x
+    return _gelsd(A, b, SVD_CUTOFF)
 
 
 def _solve_one(M, v):
     """Unconstrained minimizer of one passive-set subsystem ``M z = v``."""
     try:
-        return np.linalg.solve(M, v)
+        return _gesv(M, v)
     except np.linalg.LinAlgError:
-        z, _, _, _ = np.linalg.lstsq(M, v, rcond=None)
-        return z
+        # ``np.linalg.lstsq``'s default cutoff, ``rcond=None``.
+        return _gelsd(M, v, np.finfo(float).eps * len(M))
 
 
 def _solve_stack(M, v):
     """Solve each system ``M[i] z = v[i]`` of a stack, one right-hand side each.
 
-    A singular member makes the stacked ``solve`` raise for the whole stack;
+    A singular member makes the stacked ``gesv`` raise for the whole stack;
     every member is then solved on its own by :func:`_solve_one`.  Either
     way each system is solved alone, so the fallback changes no bits.
     """
     try:
-        return np.linalg.solve(M, v[:, :, None])[:, :, 0]
+        return _gesv(M, v)
     except np.linalg.LinAlgError:
         return np.array([_solve_one(Mi, vi) for Mi, vi in zip(M, v)])
 
@@ -159,12 +215,15 @@ def nnls_multi(AtA, AtB, max_iter=None, warm_passive=None):
     The passive-set subsystems are solved in batches of equal size (the
     combinatorial grouping of FC-NNLS, Van Benthem & Keenan, J. Chemometrics
     2004): each round sorts its columns by passive-set size and makes one
-    stacked ``np.linalg.solve`` per size, with a single right-hand side per
-    system.  If a group holds an exactly singular system, the stacked solve
-    raises and every member of the group is solved alone (``solve``, then
-    ``lstsq``).  Columns that share a round advance through it together:
-    each round's feasibility tests, steps and drops act on all of its
-    passive entries at once, one run of entries per column.
+    stacked solve per size, with a single right-hand side per system.  The
+    stacks go straight to LAPACK's ``gesv`` gufunc under numpy's own
+    errstate, with the bits of ``np.linalg.solve`` and without its Python
+    wrapper, which costs more than a small system's solve.  If a group
+    holds an exactly singular system, the stacked solve raises and every
+    member of the group is solved alone (``gesv``, then ``gelsd``).
+    Columns that share a round advance through it together: each round's
+    feasibility tests, steps and drops act on all of its passive entries at
+    once, one run of entries per column.
 
     A warm-started call whose warm sets are all optimal -- the common case
     inside a fit -- is one stacked solve per warm-set size, one dual check

@@ -1,6 +1,9 @@
 import csv
+import ctypes
+import functools
 
 import numpy as np
+import pytest
 
 from cssnmf.linalg import DUAL_TOL, ConvergenceError
 from cssnmf.model import (
@@ -13,6 +16,40 @@ from cssnmf.model import (
     update_theta,
     update_w,
 )
+
+
+@functools.cache
+def blas_core():
+    """Name of the OpenBLAS kernel numpy's BLAS runs in this process (the
+    core ``OPENBLAS_VERBOSE=2`` prints and ``OPENBLAS_CORETYPE`` forces), or
+    None when numpy's BLAS is not an OpenBLAS that reports it."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    # numpy's extension links its BLAS, so a symbol lookup on its handle
+    # finds the bundled OpenBLAS.
+    lib = ctypes.CDLL(umath.__file__)
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                 "openblas_get_corename"):
+        corename = getattr(lib, name, None)
+        if corename is not None:
+            corename.argtypes = []
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def pinned(pins, name):
+    """The value that ``pins``, a dict named ``name``, records for this
+    process's BLAS core.  Each kernel rounds products and LAPACK solves its
+    own way, so a bit-exact pin holds for the core it was measured on only;
+    a core with no recorded value fails the test."""
+    core = blas_core()
+    if core not in pins:
+        pytest.fail(f"no {name} is recorded for BLAS core {core!r}: run this test under that "
+                    f"core on a trusted commit and add the value it reads to {name}[{core!r}]")
+    return pins[core]
 
 
 def csv_rows(path):

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import cssnmf.model
-from conftest import brute_force_nnls, csv_rows
+from conftest import brute_force_nnls, csv_rows, pinned
 from cssnmf.cli import main
 from cssnmf.linalg import nnls
 from cssnmf.model import Factorization, FitConfig, fit, normalize, objective
@@ -191,14 +191,20 @@ def test_c11_coupling_beats_two_stage_on_heldout(lambda_study):
 
 # The sweep.csv that `cssnmf --seed 0 synth` followed by `cssnmf --seed 0 sweep
 # X.csv Y.csv --r 4 --lambdas 0,0.01,0.1,1,10,100,1000,10000 --restarts 50`
-# writes: the lambda study, byte for byte.
-LAMBDA_STUDY_SWEEP_SHA256 = "3b17ebca3587e2e8379f9f2764a6e1ba47aa49ea4ce72b68961f27ace0cdd83c"
+# writes: the lambda study, byte for byte, per OpenBLAS kernel.  Under
+# Haswell the cells move by about 1e-13 relative and at lambda = 1e3 another
+# restart wins.
+LAMBDA_STUDY_SWEEP_SHA256 = {
+    "SkylakeX": "3b17ebca3587e2e8379f9f2764a6e1ba47aa49ea4ce72b68961f27ace0cdd83c",
+    "Haswell": "c14977ef4f2e99b6ff902f5a78ab8895484517cc2c28bb205b87ae31e82141ce",
+}
 
 
 def test_lambda_study_sweep_csv_is_pinned(lambda_study, tmp_path):
+    expected = pinned(LAMBDA_STUDY_SWEEP_SHA256, "LAMBDA_STUDY_SWEEP_SHA256")
     path = tmp_path / "sweep.csv"
     write_sweep_csv(path, lambda_study)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == LAMBDA_STUDY_SWEEP_SHA256
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
 
 # ------------------------------------------------------------ normalization

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import cssnmf.cli
 import cssnmf.text
-from conftest import csv_rows, row_from_counts_reference, save_matrix_csv_reference
+from conftest import csv_rows, pinned, row_from_counts_reference, save_matrix_csv_reference
 from cssnmf.cli import main
 from cssnmf.io import (load_matrix_csv, load_vector_csv, save_matrix_csv, save_vector_csv,
                        write_table)
@@ -295,35 +295,47 @@ def test_sweep_single_cell_matches_cmd_fit(runner, tmp_path):
 
 
 # The acceptance benchmark (n=100, m=40, planted rank 4, noise 4, seed 0) swept
-# over the thinned lambda grid with one restart per cell.  Pinned from the
-# per-column solver that the batched kernel replaced: the fits must be the
-# same to the last digit.  Columns: lambda, train_mse, final_F, best_restart,
-# iterations, test_mse.
-PINNED_ACCEPTANCE_SWEEP = [
-    ('0.0', '17.87541260003909', '45784.57018447334', '0', '100', 24.651793919503344),
-    ('0.01', '17.811740032673352', '45788.20000509727', '0', '100', 24.677459390322742),
-    ('0.1', '17.275557222731173', '45854.98054252192', '0', '100', 24.72642731004343),
-    ('1.0', '13.626253343107456', '50948.681500629085', '0', '100', 26.9022306826431),
-    ('10.0', '3.777059884877461', '67011.08599829082', '0', '100', 69.5744471732177),
-    ('100.0', '0.1869207570537728', '137567.92397340204', '0', '100', 23.30443263007722),
-    ('1000.0', '0.04126395945953564', '271459.94980729936', '0', '100', 329.29157003687163),
-    ('10000.0', '0.0017456559116583695', '353496.4393077727', '0', '100', 570.6722731787626),
-]
+# over the thinned lambda grid with one restart per cell, per OpenBLAS kernel.
+# Pinned from the per-column solver that the batched kernel replaced: the fits
+# must be the same to the last digit.  Columns: lambda, train_mse, final_F,
+# best_restart, iterations, test_mse.
+PINNED_ACCEPTANCE_SWEEP = {
+    "SkylakeX": [
+        ('0.0', '17.87541260003909', '45784.57018447334', '0', '100', 24.651793919503344),
+        ('0.01', '17.811740032673352', '45788.20000509727', '0', '100', 24.677459390322742),
+        ('0.1', '17.275557222731173', '45854.98054252192', '0', '100', 24.72642731004343),
+        ('1.0', '13.626253343107456', '50948.681500629085', '0', '100', 26.9022306826431),
+        ('10.0', '3.777059884877461', '67011.08599829082', '0', '100', 69.5744471732177),
+        ('100.0', '0.1869207570537728', '137567.92397340204', '0', '100', 23.30443263007722),
+        ('1000.0', '0.04126395945953564', '271459.94980729936', '0', '100', 329.29157003687163),
+        ('10000.0', '0.0017456559116583695', '353496.4393077727', '0', '100', 570.6722731787626),
+    ],
+    "Haswell": [
+        ('0.0', '17.875412600039894', '45784.57018447519', '0', '100', 24.651793919503653),
+        ('0.01', '17.811740032673903', '45788.200005097286', '0', '100', 24.67745939032092),
+        ('0.1', '17.27555722273065', '45854.98054252152', '0', '100', 24.72642731004243),
+        ('1.0', '13.626253343107265', '50948.68150062629', '0', '100', 26.9022306826425),
+        ('10.0', '3.777059884877655', '67011.08599829252', '0', '100', 69.57444717321658),
+        ('100.0', '0.1869207570537873', '137567.9239733959', '0', '100', 23.30443263007624),
+        ('1000.0', '0.041263959459536204', '271459.94980728783', '0', '100', 329.2915700368513),
+        ('10000.0', '0.001745655911656628', '353496.4393077772', '0', '100', 570.6722731787887),
+    ],
+}
 
 
 def test_sweep_on_acceptance_spec_reproduces_pinned_fits(runner, tmp_path):
+    pins = pinned(PINNED_ACCEPTANCE_SWEEP, "PINNED_ACCEPTANCE_SWEEP")
     ds_dir = tmp_path / "ds"
     invoke(runner, ["--seed", 0, "--out", ds_dir, "synth", "--n", 100, "--m", 40, "--r", 4,
                     "--eta-x", 4, "--eta-y", 4])
-    lambdas = ",".join(row[0] for row in PINNED_ACCEPTANCE_SWEEP)
+    lambdas = ",".join(row[0] for row in pins)
     res = invoke(runner, ["--seed", 0, "--out", tmp_path / "sw", "sweep",
                           ds_dir / "X.csv", ds_dir / "Y.csv",
                           "--r", 4, "--lambdas", lambdas, "--restarts", 1])
     assert res.exit_code == 0
     rows = csv_rows(tmp_path / "sw" / "sweep.csv")
-    assert len(rows) == len(PINNED_ACCEPTANCE_SWEEP)
-    for row, (lam, train_mse, final_F, best_restart, iterations, test_mse) in zip(
-            rows, PINNED_ACCEPTANCE_SWEEP):
+    assert len(rows) == len(pins)
+    for row, (lam, train_mse, final_F, best_restart, iterations, test_mse) in zip(rows, pins):
         assert (row["lambda"], row["train_mse"], row["final_F"], row["best_restart"],
                 row["iterations"], row["status"]) == \
             (lam, train_mse, final_F, best_restart, iterations, "ok")

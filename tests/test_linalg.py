@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cssnmf.linalg
-from cssnmf.linalg import DUAL_TOL, ConvergenceError, lstsq, nnls, nnls_multi
+from cssnmf.linalg import DUAL_TOL, SVD_CUTOFF, ConvergenceError, lstsq, nnls, nnls_multi
 from conftest import _nnls_normal, brute_force_nnls
 
 
@@ -42,9 +42,18 @@ def test_lstsq_small_singular_values_cut():
 
 def test_lstsq_matches_pinv():
     rng = np.random.default_rng(3)
-    A = rng.normal(size=(6, 4))
-    b = rng.normal(size=6)
-    assert np.allclose(lstsq(A, b), np.linalg.pinv(A) @ b, atol=1e-10)
+    for shape in [(6, 4), (4, 4), (3, 5), "rank_deficient"]:
+        if shape == "rank_deficient":
+            A = rng.normal(size=(6, 4))
+            A[:, 3] = A[:, 0] + A[:, 1]
+        else:
+            A = rng.normal(size=shape)
+        b = rng.normal(size=A.shape[0])
+        x = lstsq(A, b)
+        assert np.allclose(x, np.linalg.pinv(A) @ b, atol=1e-10), shape
+        # The LAPACK binding gives numpy's own bits, in an array of its own.
+        assert np.array_equal(x, np.linalg.lstsq(A, b, rcond=SVD_CUTOFF)[0]), shape
+        assert x.flags.c_contiguous and x.flags.owndata
 
 
 def test_nnls_identity_clips_negative_targets():
@@ -186,15 +195,34 @@ def _reference_columns(AtA, AtB, warm_passive, max_iter):
 def test_nnls_multi_is_bit_identical_to_per_column_reference(problem, max_iter):
     AtA, AtB, _, _, warm_passive = problem
     ref, failed = _reference_columns(AtA, AtB, warm_passive, max_iter)
-    if failed:
-        with pytest.raises(ConvergenceError) as exc:
-            nnls_multi(AtA, AtB, max_iter=max_iter, warm_passive=warm_passive)
-        j = min(failed)
-        assert exc.value.column == j
-        assert np.array_equal(exc.value.best, failed[j])
-    else:
-        result = nnls_multi(AtA, AtB, max_iter=max_iter, warm_passive=warm_passive)
-        assert np.array_equal(result, ref)
+    # Once with the LAPACK bindings chosen at import, once with the
+    # public-function fallbacks in their place: both give the reference's bits.
+    for public in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if public:
+                mp.setattr(cssnmf.linalg, "_gesv", cssnmf.linalg._gesv_public)
+                mp.setattr(cssnmf.linalg, "_gelsd", cssnmf.linalg._gelsd_public)
+            if failed:
+                with pytest.raises(ConvergenceError) as exc:
+                    nnls_multi(AtA, AtB, max_iter=max_iter, warm_passive=warm_passive)
+                j = min(failed)
+                assert exc.value.column == j
+                assert np.array_equal(exc.value.best, failed[j])
+            else:
+                result = nnls_multi(AtA, AtB, max_iter=max_iter, warm_passive=warm_passive)
+                assert np.array_equal(result, ref)
+
+
+@pytest.mark.parametrize("binding", ["_gesv", "_gesv_public"])
+def test_solve_binding_raises_on_a_stack_with_one_singular_member(binding):
+    # The stacked solve must raise, not return the other members' solutions
+    # with NaNs in the singular one: the raise is what sends every member
+    # of the stack to its own solve.
+    M = np.stack([np.eye(2), np.ones((2, 2)), 2.0 * np.eye(2)])
+    with pytest.raises(np.linalg.LinAlgError):
+        getattr(cssnmf.linalg, binding)(M, np.ones((3, 2)))
+    z = getattr(cssnmf.linalg, binding)(M[[0, 2]], np.ones((2, 2)))
+    assert np.array_equal(z, [[1.0, 1.0], [0.5, 0.5]])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -291,7 +319,7 @@ def test_nnls_multi_solves_only_the_singular_systems_of_a_group_alone(singular, 
     assert not failed
 
     singles, stacks = [], []
-    solve_one, solve = cssnmf.linalg._solve_one, np.linalg.solve
+    solve_one, solve = cssnmf.linalg._solve_one, cssnmf.linalg._gesv
 
     def counting_solve_one(M, v):
         singles.append(M.shape)
@@ -303,7 +331,7 @@ def test_nnls_multi_solves_only_the_singular_systems_of_a_group_alone(singular, 
         return solve(M, v)
 
     monkeypatch.setattr(cssnmf.linalg, "_solve_one", counting_solve_one)
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(cssnmf.linalg, "_gesv", counting_solve)
     result = nnls_multi(AtA, AtB, warm_passive=warm)
     assert np.array_equal(result, ref)
     assert singles == [(2, 2)] * 40
@@ -326,13 +354,13 @@ def test_nnls_multi_warm_start_at_the_optimum_is_one_solve_per_size(monkeypatch)
     assert len(set(sizes[sizes > 0].tolist())) >= 3 and (sizes == 0).any()
 
     shapes = []
-    solve = np.linalg.solve
+    solve = cssnmf.linalg._gesv
 
     def counting_solve(M, v):
         shapes.append(M.shape)
         return solve(M, v)
 
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(cssnmf.linalg, "_gesv", counting_solve)
     again = nnls_multi(AtA, AtB, warm_passive=first > 0)
     assert np.array_equal(again, first)
     counts = np.bincount(sizes)
