@@ -143,9 +143,16 @@ def _write_matrix(path, blocks, header):
     if header and _is_numeric_row(header):
         raise ValueError(f"{path}: every column name reads as a number, so the header "
                          "would be read back as a data row")
+    if any(c in name for name in header for c in ",\r\n"):
+        raise ValueError(f"{path}: a column name holds a comma or a line break, so the "
+                         "header would be read back split")
+    line = ",".join(header)
+    if header and (not line.strip() or line.startswith("\ufeff")):
+        raise ValueError(f"{path}: the header line would be blank or start with a byte-order "
+                         "mark, which the reader skips")
     runs = _ZeroRuns(m)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(line + "\n")
         while block is not None:
             if block.cols.size and block.cols.max() >= m:
                 raise ValueError(f"row block has an entry in column {block.cols.max()}, "
@@ -168,8 +175,10 @@ def save_matrix_csv(path, X, header=None):
     before it were written.
 
     ``header`` is a list of column names (defaults to ``x0..x{m-1}``).  A
-    header whose every name reads as a number is refused, because
-    :func:`load_matrix_csv` would read it as a data row.
+    header that :func:`load_matrix_csv` would not read back as written is
+    refused: one whose every name reads as a number (it would be a data
+    row), a name holding a comma or a line break, and a header line that is
+    blank or starts with a byte-order mark.
     """
     _write_matrix(path, X if isinstance(X, Iterator) else iter([X]), header)
 
@@ -194,8 +203,9 @@ def load_matrix_csv(path):
     non-numeric first row is taken as the header.
 
     Returns ``(X, header)`` with ``header`` None when the file starts with
-    data.  A header made entirely of numeric-looking terms would be
-    misread; the writers here refuse to write one.
+    data; every data row has as many cells as the header, or else as the
+    first data row.  A header made entirely of numeric-looking terms would
+    be misread; the writers here refuse to write one.
     Blank and whitespace-only lines are skipped.  Errors name the path and
     the 1-based line of the file.
 
@@ -220,7 +230,7 @@ def load_matrix_csv(path):
     if not numbered:
         raise ValueError(f"{path}: no data rows")
     lines = [ln for _, ln in numbered]
-    commas = lines[0].count(",")
+    commas = lines[0].count(",") if header is None else len(header) - 1
     for k, ln in numbered:
         if ln.count(",") != commas:
             raise ValueError(

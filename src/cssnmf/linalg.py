@@ -21,17 +21,18 @@ their Python wrappers.  The kernels call the LAPACK gufuncs those wrappers
 call, ``numpy.linalg._umath_linalg.solve1`` and ``lstsq``, on float64 and
 under the errstate the wrappers set, so every result has the wrappers' bits
 and a failure raises the same ``LinAlgError``.  The gufuncs are private numpy
-API: where one is missing, its binding is the public wrapper instead.
+API.  ``solve1`` is bound without a fallback: ``np.linalg.solve`` itself calls
+it for a 1-d right-hand side, so a numpy without it could not solve at all.
+``lstsq`` falls back to ``np.linalg.lstsq``: the single gufunc returns the
+singular values in a core dimension ``min(m, n)`` derived from its inputs,
+which needs a gufunc hook that numpy added in 2.1, so the older releases that
+the ``numpy>=1.24`` floor allows very likely lack it.
 """
 
 import itertools
 
 import numpy as np
-
-try:
-    from numpy.linalg import _umath_linalg
-except ImportError:
-    _umath_linalg = None
+from numpy.linalg import _umath_linalg
 
 __all__ = ["ConvergenceError", "nnls", "nnls_multi", "lstsq"]
 
@@ -73,11 +74,6 @@ def _as_vector(b, name):
     return np.ascontiguousarray(b)
 
 
-def _gesv_public(M, v):
-    """``z`` with ``M[..., :, :] z[..., :] = v[..., :]``, by ``np.linalg.solve``."""
-    return np.linalg.solve(M, v[..., None])[..., 0]
-
-
 def _gelsd_public(A, b, rcond):
     """Minimum-norm least-squares ``x`` of ``A x = b``, by ``np.linalg.lstsq``."""
     return np.linalg.lstsq(A, b, rcond=rcond)[0]
@@ -91,20 +87,19 @@ def _raise_lstsq(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-# The LAPACK bindings, chosen once.  Each gufunc reports a LAPACK failure as
-# an invalid floating-point operation, which the errstate turns into a call
-# of the raising handler, as ``np.linalg`` does.
-_solve1 = getattr(_umath_linalg, "solve1", None)
+# The LAPACK bindings.  Each gufunc reports a LAPACK failure as an invalid
+# floating-point operation, which the errstate turns into a call of the
+# raising handler, as ``np.linalg`` does.
+_solve1 = _umath_linalg.solve1
 _lstsq = getattr(_umath_linalg, "lstsq", None)
 
-if _solve1 is None:
-    _gesv = _gesv_public
-else:
-    @np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
-                 under="ignore")
-    def _gesv(M, v):
-        """``_gesv_public`` through ``solve1`` (LAPACK ``dgesv``)."""
-        return _solve1(M, v, signature="dd->d")
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _gesv(M, v):
+    """``z`` with ``M[..., :, :] z[..., :] = v[..., :]``, by ``solve1`` (LAPACK ``dgesv``)."""
+    return _solve1(M, v, signature="dd->d")
+
 
 if _lstsq is None:
     _gelsd = _gelsd_public

@@ -329,10 +329,9 @@ class _Restart:
     def fit_theta(self):
         """Fit ``theta`` once against the settled weights, for ``lam = 0``,
         where the regression is decoupled.  The last trace row then
-        describes the returned model; ``F = N`` is unchanged, only ``R``
-        moves off the random initial ``theta``."""
+        describes the returned model: ``W``, ``H`` and so ``F = N`` are the
+        last step's, only ``R`` moves off the random initial ``theta``."""
         self.theta = update_theta(self.W, self.Y)
-        self.N = _recon_error(self.X, self.W, self.H)
         self.R = _regress_error(self.Y, self.W, self.theta)
         self.F = self.N + self.lam * self.R
         self.trace[-1] = (self.trace[-1][0], self.F, self.N, self.R)

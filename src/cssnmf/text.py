@@ -477,14 +477,17 @@ def load_corpus(path, rating_range=None, require_rating=True):
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as err:
+                except ValueError as err:
+                    # JSONDecodeError, or an integer too long to convert.
                     raise ValueError(f"{path}: line {k} is not valid JSON: {err}") from None
                 except RecursionError:
                     raise ValueError(f"{path}: line {k} is JSON nested too deeply to read") \
                         from None
                 if not isinstance(obj, dict):
                     raise ValueError(f"{path}: line {k} is not a JSON object")
-                entries.append(_entry_from_record(obj, path, k, require_rating))
+                where = f"{path}: line {k}"
+                _check_json_fields(obj, where)
+                entries.append(_entry_from_record(obj, where, require_rating))
     else:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh, _long_csv_fields():
             reader = csv.DictReader(fh)
@@ -500,7 +503,7 @@ def load_corpus(path, rating_range=None, require_rating=True):
                         count = "more" if None in rec else "fewer"
                         raise ValueError(f"{path}: record {k} has {count} fields than the "
                                          f"header's {len(reader.fieldnames)}")
-                    entries.append(_entry_from_record(rec, path, k, require_rating))
+                    entries.append(_entry_from_record(rec, f"{path}: record {k}", require_rating))
             except csv.Error as err:
                 # Record 1 is the header; each record after it became an entry.
                 k = len(entries) + 2 if reader.line_num else 1
@@ -539,24 +542,45 @@ def is_corpus_file(path):
     return {"id", "text"} <= set(header) and not _is_numeric_row(first)
 
 
-def _entry_from_record(rec, path, lineno, require_rating):
+# The JSON types a JSON-lines record's fields may have.  A boolean, which
+# Python takes for an int, is none of them; a null rating is no rating.
+_JSON_FIELD_TYPES = {
+    "id": ((str, int), "a string or an integer"),
+    "text": ((str,), "a string"),
+    "rating": ((int, float, str, type(None)), "a number or a numeric string"),
+}
+_JSON_KINDS = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
+               str: "a string", list: "an array", dict: "an object"}
+
+
+def _check_json_fields(obj, where):
+    """Refuse a field of JSON-lines record ``obj`` whose type no CSV cell
+    stands for: :func:`_entry_from_record` reads its fields as CSV text, with
+    ``str`` and ``float``, so it would take ``null`` for the text ``'None'``
+    and ``true`` for the rating 1.0."""
+    for field, (types, expected) in _JSON_FIELD_TYPES.items():
+        value = obj.get(field)
+        if field in obj and (isinstance(value, bool) or not isinstance(value, types)):
+            raise ValueError(f"{where}: {field} is {_JSON_KINDS[type(value)]}, "
+                             f"expected {expected}")
+
+
+def _entry_from_record(rec, where, require_rating):
     try:
         doc_id = str(rec["id"])
         text = str(rec["text"])
     except KeyError as err:
-        raise ValueError(f"{path}: record {lineno} lacks field {err}") from None
+        raise ValueError(f"{where} lacks field {err}") from None
     raw = rec.get("rating")
     if raw is None or raw == "":
         if require_rating:
-            raise ValueError(f"{path}: record {lineno} lacks a rating")
+            raise ValueError(f"{where} lacks a rating")
         rating = None
     else:
         try:
             rating = float(raw)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{path}: record {lineno} has non-numeric rating {raw!r}"
-            ) from None
+        except (ValueError, OverflowError):
+            raise ValueError(f"{where} has non-numeric rating {raw!r}") from None
     return RatedDocument(id=doc_id, text=text, rating=rating)
 
 

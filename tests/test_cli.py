@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import cssnmf.cli
+import cssnmf.sweep
 import cssnmf.text
 from conftest import csv_rows, pinned, row_from_counts_reference, save_matrix_csv_reference
 from cssnmf.cli import main
@@ -892,6 +893,22 @@ def test_ingest_refuses_a_json_lines_record_that_is_not_an_object(runner, tmp_pa
     assert "line 2 is not a JSON object" in res.stderr
 
 
+@pytest.mark.parametrize("record, message", [
+    ('{"id": "b", "text": null, "rating": 3}', "line 2: text is null"),
+    ('{"id": "b", "text": "pear", "rating": true}', "line 2: rating is a boolean"),
+    ('{"id": ["x"], "text": "pear", "rating": 3}', "line 2: id is an array"),
+    ('{"id": "b", "text": "pear", "rating": 1' + "0" * 400 + "}",
+     "line 2 has non-numeric rating 1000"),
+], ids=["null-text", "boolean-rating", "array-id", "integer-rating-beyond-float"])
+def test_ingest_refuses_a_json_lines_value_no_csv_cell_holds(runner, tmp_path, record, message):
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_text('{"id": "a", "text": "apple", "rating": 4}\n' + record + "\n")
+    res = runner.invoke(main, ["--out", str(tmp_path / "i"), "ingest", str(corpus_path)])
+    assert res.exit_code == 3
+    assert f"{corpus_path}: {message}" in res.stderr
+    assert not (tmp_path / "i" / "X.csv").exists()
+
+
 def test_predict_accepts_ratings_outside_the_ingest_default_range(runner, tmp_path):
     # The rating range is an ingest setting: predict groups any rating by --edges.
     words = "apple banana cherry damson elder fig grape".split()
@@ -1040,6 +1057,102 @@ def test_fit_embeds_the_vectorizer_vocabulary_in_its_order(runner, tmp_path):
     assert res.exit_code == 0
     doc = json.loads((tmp_path / "f" / "model.json").read_text())
     assert doc["vocabulary"] == ["zebra", "apple"] and doc["idf"] == [3.0, 7.0]
+
+
+# ------------------------------------------- exits no other test reaches
+
+def assert_clean_exit(res, code, message):
+    """Exit ``code`` with ``message`` in the output, and no traceback."""
+    assert res.exit_code == code, res.output
+    assert message in res.output
+    assert "Traceback" not in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+@pytest.fixture
+def small_xy(tmp_path):
+    rng = np.random.default_rng(8)
+    save_matrix_csv(tmp_path / "X.csv", rng.uniform(size=(10, 4)))
+    save_vector_csv(tmp_path / "Y.csv", rng.uniform(1.0, 5.0, size=10))
+    return tmp_path / "X.csv", tmp_path / "Y.csv"
+
+
+def test_sweep_refuses_an_empty_topic_count_list(runner, tmp_path, small_xy):
+    res = runner.invoke(main, ["--out", str(tmp_path / "s"), "sweep", *map(str, small_xy),
+                               "--r", ",", "--lambdas", "0"])
+    assert_clean_exit(res, 2, "--r is empty")
+
+
+def test_fit_refuses_a_vectorizer_of_another_width(runner, tmp_path, small_xy,
+                                                  fitted_text_model):
+    vectorizer = fitted_text_model / "vectorizer.json"
+    terms = len(json.loads(vectorizer.read_text())["vocabulary"])
+    res = runner.invoke(main, ["--out", str(tmp_path / "f"), "fit", *map(str, small_xy),
+                               "--r", "1", "--vectorizer", str(vectorizer)])
+    assert_clean_exit(res, 3, f"vectorizer has {terms} terms but X has 4 columns")
+    assert not (tmp_path / "f" / "model.json").exists()
+
+
+def test_fit_warns_of_more_topics_than_min_n_m(runner, tmp_path, small_xy):
+    res = runner.invoke(main, ["--out", str(tmp_path / "f"), "fit", *map(str, small_xy),
+                               "--r", "5", "--restarts", "1", "--max-iter", "3"])
+    assert_clean_exit(res, 0, "warning: r=5 exceeds min(n, m)=4; the factorization is "
+                              "overcomplete")
+    assert (tmp_path / "f" / "model.json").exists()
+
+
+def test_sweep_warns_of_a_failed_cell_and_writes_the_rest(runner, tmp_path, small_xy,
+                                                         monkeypatch):
+    real_fit = cssnmf.sweep.fit
+
+    def flaky(X, Y, cfg):
+        if cfg.lam == 1.0:
+            raise NumericFailure("all restarts failed")
+        return real_fit(X, Y, cfg)
+
+    monkeypatch.setattr(cssnmf.sweep, "fit", flaky)
+    res = runner.invoke(main, ["--out", str(tmp_path / "s"), "sweep", *map(str, small_xy),
+                               "--r", "2", "--lambdas", "0,1", "--restarts", "1",
+                               "--max-iter", "3"])
+    assert_clean_exit(res, 0, "warning: cell r=2 lambda=1.0: failed: all restarts failed")
+    rows = csv_rows(tmp_path / "s" / "sweep.csv")
+    assert [row["status"] for row in rows] == ["ok", "failed: all restarts failed"]
+
+
+def test_predict_refuses_a_text_model_without_idf(runner, tmp_path):
+    model_path = tmp_path / "model.json"
+    _planted_model(model_path, vocab=["alpha", "beta", "gamma", "delta"])
+    corpus = tmp_path / "docs.jsonl"
+    corpus.write_text('{"id": "a", "text": "alpha beta"}\n')
+    res = runner.invoke(main, ["--out", str(tmp_path / "p"), "predict", str(model_path),
+                               str(corpus)])
+    assert_clean_exit(res, 3, "model carries a vocabulary but no idf weights")
+    assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
+def test_predict_refuses_ratings_beside_a_corpus(runner, tmp_path, fitted_text_model):
+    d = fitted_text_model
+    save_vector_csv(tmp_path / "ratings.csv", np.ones(20))
+    res = runner.invoke(main, ["--out", str(tmp_path / "p"), "predict", str(d / "model.json"),
+                               str(d / "corpus.csv"), "--ratings",
+                               str(tmp_path / "ratings.csv")])
+    assert_clean_exit(res, 2, "--ratings applies to matrix input")
+    assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
+def test_predict_leaves_ratings_outside_the_edges_out_of_groups(runner, tmp_path):
+    model_path = tmp_path / "model.json"
+    _planted_model(model_path)
+    save_matrix_csv(tmp_path / "docs.csv", np.random.default_rng(3).uniform(size=(5, 4)))
+    save_vector_csv(tmp_path / "ratings.csv", [0.5, 1.5, 3.0, 5.0, 7.0])
+    res = runner.invoke(main, ["--out", str(tmp_path / "p"), "predict", str(model_path),
+                               str(tmp_path / "docs.csv"), "--ratings",
+                               str(tmp_path / "ratings.csv")])
+    assert_clean_exit(res, 0, "warning: 2 rating(s) outside [1.0, 2.0, 3.0, 4.0, 5.0] left out "
+                              "of groups.csv")
+    groups = csv_rows(tmp_path / "p" / "groups.csv")
+    assert [int(g["count"]) for g in groups] == [1, 0, 1, 1]
+    assert len(csv_rows(tmp_path / "p" / "predictions.csv")) == 5
 
 
 # ------------------------------------------------------------------- topics

@@ -191,6 +191,22 @@ def test_writer_refuses_a_header_that_reads_as_numbers(tmp_path, header):
     assert load_matrix_csv(path)[1] == header[:-1] + ["x"]
 
 
+@pytest.mark.parametrize("header, message", [
+    ([""], "blank"),
+    (["\u2028"], "blank"),
+    (["\ufeffa"], "byte-order mark"),
+    (["a,b"], "comma or a line break"),
+    (["a", "b\nc"], "comma or a line break"),
+    (["a\r"], "comma or a line break"),
+])
+def test_writer_refuses_a_header_that_would_not_read_back(tmp_path, header, message):
+    # Each was written once, and read back as another header or none.
+    path = tmp_path / "a.csv"
+    with pytest.raises(ValueError, match=message):
+        save_matrix_csv(path, np.ones((2, len(header))), header=header)
+    assert not path.exists()
+
+
 def test_vector_writer_bytes(tmp_path):
     save_vector_csv(tmp_path / "y.csv", [0.0, -0.0, 2.5, np.nan], name="rating")
     assert (tmp_path / "y.csv").read_bytes() == b"rating\n0.0\n-0.0\n2.5\nnan\n"
@@ -225,6 +241,49 @@ def test_reader_parses_like_float(tmp_path_factory, values, fmt):
     got, header = load_matrix_csv(path)
     ref, _ = load_matrix_csv_reference(path)
     assert header is None and same_bits(got, ref)
+
+
+# Lines the reader skips: blank or whitespace-only by ``str.strip``.
+BLANK_LINES = st.text(alphabet=" \t\x0b\x0c\u00a0\u2003\u3000", max_size=3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    X=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4),
+             elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)),
+    names=st.lists(st.text(max_size=4), min_size=4, max_size=4),
+    default_header=st.booleans(),
+    bom=st.booleans(),
+    crlf=st.booleans(),
+    blanks=st.lists(st.tuples(st.integers(0, 6), BLANK_LINES), max_size=4),
+)
+def test_written_matrix_reads_back_through_layout_changes(tmp_path_factory, X, names,
+                                                          default_header, bom, crlf, blanks):
+    # Any matrix the writer accepts, with any header it accepts, loads back
+    # with that header and the same bits after the layout changes the reader
+    # promises to ignore: a byte-order mark, CRLF line ends, and blank or
+    # whitespace-only lines anywhere.
+    path = tmp_path_factory.mktemp("rt") / "X.csv"
+    m = X.shape[1]
+    header = None if default_header else names[:m]
+    try:
+        save_matrix_csv(path, X, header=header)
+    except ValueError:
+        return
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    for at, blank in blanks:
+        lines.insert(min(at, len(lines)), blank)
+    end = "\r\n" if crlf else "\n"
+    path.write_text("".join(ln + end for ln in lines), encoding="utf-8-sig" if bom else "utf-8",
+                    newline="")
+    if X.size == 0:
+        # Without a row or a column there is no data to read back.
+        with pytest.raises(ValueError, match="empty file|no data rows"):
+            load_matrix_csv(path)
+        return
+    got, got_header = load_matrix_csv(path)
+    assert got_header == (header or [f"x{j}" for j in range(m)])
+    assert same_bits(got, X)
 
 
 def test_vector_round_trip(tmp_path):
@@ -303,6 +362,21 @@ def test_reader_rejects_malformed_rows_naming_path_and_line(tmp_path, text, patt
     assert str(err.value).startswith(f"{path}: ")
     with pytest.raises(ValueError):
         load_matrix_csv_reference(path)
+
+
+def test_reader_checks_data_rows_against_the_header(tmp_path):
+    # The rows agree with each other but not with the header.
+    path = tmp_path / "X.csv"
+    for text, row in (("a,b\n1,2,3\n4,5,6\n", 2), ("\na,b\n\n1,2,3\n", 4)):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"row {row} has 3 cells, expected 2"):
+            load_matrix_csv(path)
+    (tmp_path / "Y.csv").write_text("y\n1.0\n2.0\n")
+    path.write_text("a,b\n1,2,3\n4,5,6\n")
+    res = CliRunner().invoke(main, ["--out", str(tmp_path / "out"), "fit", str(path),
+                                    str(tmp_path / "Y.csv"), "--r", "1"])
+    assert res.exit_code == 3
+    assert "X.csv: row 2 has 3 cells, expected 2" in res.output
 
 
 def test_reader_reports_file_lines_past_blank_lines(tmp_path):

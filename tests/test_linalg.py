@@ -195,12 +195,11 @@ def _reference_columns(AtA, AtB, warm_passive, max_iter):
 def test_nnls_multi_is_bit_identical_to_per_column_reference(problem, max_iter):
     AtA, AtB, _, _, warm_passive = problem
     ref, failed = _reference_columns(AtA, AtB, warm_passive, max_iter)
-    # Once with the LAPACK bindings chosen at import, once with the
-    # public-function fallbacks in their place: both give the reference's bits.
+    # Once with the LAPACK binding chosen at import, once with the public
+    # least-squares fallback in its place: both give the reference's bits.
     for public in (False, True):
         with pytest.MonkeyPatch.context() as mp:
             if public:
-                mp.setattr(cssnmf.linalg, "_gesv", cssnmf.linalg._gesv_public)
                 mp.setattr(cssnmf.linalg, "_gelsd", cssnmf.linalg._gelsd_public)
             if failed:
                 with pytest.raises(ConvergenceError) as exc:
@@ -213,7 +212,7 @@ def test_nnls_multi_is_bit_identical_to_per_column_reference(problem, max_iter):
                 assert np.array_equal(result, ref)
 
 
-@pytest.mark.parametrize("binding", ["_gesv", "_gesv_public"])
+@pytest.mark.parametrize("binding", ["_gesv"])
 def test_solve_binding_raises_on_a_stack_with_one_singular_member(binding):
     # The stacked solve must raise, not return the other members' solutions
     # with NaNs in the singular one: the raise is what sends every member

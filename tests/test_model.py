@@ -551,9 +551,9 @@ def test_fit_forms_three_dense_residuals_per_iteration(monkeypatch, lam):
                                           restarts=1))
     assert report.iterations_run == 7
     # One for the initial objective; per iteration one each after the W and
-    # H steps and one for the normalization check; at lam = 0 one more for
-    # the final theta fit.
-    assert len(calls) == 1 + 3 * report.iterations_run + (lam == 0)
+    # H steps and one for the normalization check.  The final theta fit at
+    # lam = 0 keeps the last step's N.
+    assert len(calls) == 1 + 3 * report.iterations_run
 
 
 def spy_h_solves(monkeypatch, m):

@@ -453,6 +453,34 @@ def test_load_corpus_missing_rating(tmp_path):
     assert rc.entries[0].rating is None
 
 
+@pytest.mark.parametrize("record, message", [
+    ({"id": "a", "text": None, "rating": 3}, "text is null, expected a string"),
+    ({"id": "a", "text": 5, "rating": 3}, "text is a number, expected a string"),
+    ({"id": "a", "text": "ok", "rating": True}, "rating is a boolean"),
+    ({"id": "a", "text": "ok", "rating": [3]}, "rating is an array"),
+    ({"id": ["x"], "text": "ok", "rating": 3}, "id is an array, expected a string or an integer"),
+    ({"id": False, "text": "ok", "rating": 3}, "id is a boolean"),
+    ({"id": 1.5, "text": "ok", "rating": 3}, "id is a number"),
+    ({"id": "a", "text": "ok", "rating": "often"}, "has non-numeric rating 'often'"),
+    ({"id": "a", "text": "ok", "rating": 10**400}, "has non-numeric rating"),
+], ids=["null-text", "number-text", "boolean-rating", "array-rating", "array-id",
+        "boolean-id", "float-id", "word-rating", "integer-rating-beyond-float"])
+def test_load_corpus_jsonl_refuses_values_no_csv_cell_holds(tmp_path, record, message):
+    # Each was read as CSV text once: null as the text 'None', true as 1.0.
+    p = tmp_path / "c.jsonl"
+    p.write_text('{"id": "ok", "text": "fine", "rating": 2}\n' + json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match=f"c.jsonl: line 2.*{message}"):
+        load_corpus(p)
+
+
+def test_load_corpus_jsonl_takes_integer_ids_numeric_strings_and_null_ratings(tmp_path):
+    p = tmp_path / "c.jsonl"
+    p.write_text('{"id": 7, "text": "fine", "rating": "3.5"}\n'
+                 '{"id": "b", "text": "fine", "rating": null}\n')
+    rc = load_corpus(p, require_rating=False)
+    assert [(e.id, e.rating) for e in rc.entries] == [("7", 3.5), ("b", None)]
+
+
 def test_load_corpus_errors(tmp_path):
     bad_cols = tmp_path / "bad.csv"
     bad_cols.write_text("id,body\nd1,hello\n")
@@ -471,6 +499,10 @@ def test_load_corpus_errors(tmp_path):
         not_object.write_text('{"id": "a", "text": "fine", "rating": 3}\n' + record + "\n")
         with pytest.raises(ValueError, match="n.jsonl: line 2 is not a JSON object"):
             load_corpus(not_object)
+    long_int = tmp_path / "i.jsonl"
+    long_int.write_text('{"id": "a", "text": "fine", "rating": 1' + "0" * 5000 + "}\n")
+    with pytest.raises(ValueError, match="i.jsonl: line 1 is not valid JSON"):
+        load_corpus(long_int)
     deep = tmp_path / "d.jsonl"
     deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
     with pytest.raises(ValueError, match="d.jsonl: line 1 is JSON nested too deeply"):
