@@ -23,6 +23,7 @@ data row.
 """
 
 import csv
+import itertools
 import json
 import re
 from collections import Counter
@@ -298,29 +299,43 @@ def read_json(path, version):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # a JSONDecodeError, or an integer too long to convert
             raise ValueError(f"{path}: {err}") from None
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object, found {type(doc).__name__}")
-    if doc.get("version") != version:
+    if type(doc.get("version")) is not int or doc["version"] != version:
         raise ValueError(f"{path}: unsupported version {doc.get('version')!r}")
     return doc
 
 
+# What each type that ``json.load`` returns is called in a JSON document.
+_JSON_KINDS = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
+              str: "a string", list: "an array", dict: "an object"}
+
+
 def json_array(path, doc, name, ndim):
     """Field ``name`` of a JSON document as a finite float array with
-    ``ndim`` axes; raises ``ValueError`` naming ``path`` and the field."""
+    ``ndim`` axes; raises ``ValueError`` naming ``path`` and the field.
+    Every entry must be a JSON number: numpy alone would read the string
+    ``"1.5"`` as 1.5 and ``true`` as 1.0."""
+    what = f"a {ndim}-d array of numbers"
     if name not in doc:
         raise ValueError(f"{path}: field {name!r} is missing")
     try:
         a = np.asarray(doc[name], dtype=float)
         shaped = a.ndim == ndim
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         shaped = False
     if not shaped:
-        raise ValueError(f"{path}: field {name!r} must be a {ndim}-d array of numbers")
+        raise ValueError(f"{path}: field {name!r} must be {what}")
+    # Shaped as asked, the field is a list of numbers or of such lists.
+    entries = doc[name] if ndim == 1 else itertools.chain.from_iterable(doc[name])
+    other = set(map(type, entries)) - {int, float}
+    if other:
+        found = " and ".join(sorted({_JSON_KINDS[t] for t in other}))
+        raise ValueError(f"{path}: field {name!r} must be {what}, found {found}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{path}: field {name!r} has non-finite entries")
     return a

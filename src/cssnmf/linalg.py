@@ -23,10 +23,9 @@ under the errstate the wrappers set, so every result has the wrappers' bits
 and a failure raises the same ``LinAlgError``.  The gufuncs are private numpy
 API.  ``solve1`` is bound without a fallback: ``np.linalg.solve`` itself calls
 it for a 1-d right-hand side, so a numpy without it could not solve at all.
-``lstsq`` falls back to ``np.linalg.lstsq``: the single gufunc returns the
-singular values in a core dimension ``min(m, n)`` derived from its inputs,
-which needs a gufunc hook that numpy added in 2.1, so the older releases that
-the ``numpy>=1.24`` floor allows very likely lack it.
+``lstsq`` returns the singular values in a core dimension ``min(m, n)``
+derived from its inputs, which needs a gufunc hook that numpy added in 2.1;
+that is why the package requires ``numpy>=2.1``.
 """
 
 import itertools
@@ -74,11 +73,6 @@ def _as_vector(b, name):
     return np.ascontiguousarray(b)
 
 
-def _gelsd_public(A, b, rcond):
-    """Minimum-norm least-squares ``x`` of ``A x = b``, by ``np.linalg.lstsq``."""
-    return np.linalg.lstsq(A, b, rcond=rcond)[0]
-
-
 def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
@@ -91,7 +85,7 @@ def _raise_lstsq(err, flag):
 # floating-point operation, which the errstate turns into a call of the
 # raising handler, as ``np.linalg`` does.
 _solve1 = _umath_linalg.solve1
-_lstsq = getattr(_umath_linalg, "lstsq", None)
+_lstsq = _umath_linalg.lstsq
 
 
 @np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
@@ -101,14 +95,11 @@ def _gesv(M, v):
     return _solve1(M, v, signature="dd->d")
 
 
-if _lstsq is None:
-    _gelsd = _gelsd_public
-else:
-    @np.errstate(call=_raise_lstsq, invalid="call", over="ignore", divide="ignore",
-                 under="ignore")
-    def _gelsd(A, b, rcond):
-        """``_gelsd_public`` through ``lstsq`` (LAPACK ``dgelsd``)."""
-        return _lstsq(A, b[:, None], rcond, signature="ddd->ddid")[0][:, 0].copy()
+@np.errstate(call=_raise_lstsq, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _gelsd(A, b, rcond):
+    """Minimum-norm least-squares ``x`` of ``A x = b``, by ``lstsq`` (LAPACK ``dgelsd``)."""
+    return _lstsq(A, b[:, None], rcond, signature="ddd->ddid")[0][:, 0].copy()
 
 
 def lstsq(A, b):

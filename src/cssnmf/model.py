@@ -39,6 +39,7 @@ array itself).  The updates build the augmented arrays
 kept copy of it would double the fit's memory on wide text ``X``.
 """
 
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -500,17 +501,20 @@ def load_model(path):
     ``path`` and the field."""
     doc = read_json(path, MODEL_VERSION)
     H = json_array(path, doc, "H", 2)
+    if np.any(H < 0):
+        raise ValueError(f"{path}: field 'H' has negative entries")
     theta = json_array(path, doc, "theta", 1)
     if theta.shape[0] != H.shape[0] + 1:
         raise ValueError(f"{path}: model document is inconsistent: H/theta shapes disagree")
-    if doc.get("r") != H.shape[0]:
+    # type, not isinstance: a boolean is an int to Python but not to JSON.
+    if type(doc.get("r")) is not int or doc["r"] != H.shape[0]:
         raise ValueError(
             f"{path}: field 'r' must equal H's {H.shape[0]} rows, got {doc.get('r')!r}"
         )
-    try:
-        lam = float(doc["lambda"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"{path}: field 'lambda' must be a number") from None
+    lam = doc.get("lambda")
+    if type(lam) not in (int, float) or not abs(lam) <= sys.float_info.max:
+        raise ValueError(f"{path}: field 'lambda' must be a number, finite as a float, "
+                         f"got {lam!r}")
     vocabulary = None if doc.get("vocabulary") is None else json_terms(path, doc, "vocabulary")
     idf = None if doc.get("idf") is None else json_array(path, doc, "idf", 1)
     for key, value in (("vocabulary", vocabulary), ("idf", idf)):
@@ -524,7 +528,7 @@ def load_model(path):
         raise ValueError(f"{path}: field 'config' must be an object")
     return Model(
         r=H.shape[0],
-        lam=lam,
+        lam=float(lam),
         theta=theta,
         H=H,
         config=config,

@@ -37,7 +37,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .io import SparseRows, _is_numeric_row, json_array, json_terms, read_json, write_json
+from .io import (_JSON_KINDS, SparseRows, _is_numeric_row, json_array, json_terms, read_json,
+                 write_json)
 
 __all__ = [
     "RatedDocument",
@@ -132,6 +133,14 @@ class TfidfConfig:
     norm: str = "l1"
 
     def __post_init__(self):
+        # Settings also come from JSON, where true is no fraction and "no"
+        # no boolean.
+        for name in ("min_df", "max_df"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.lowercase, bool):
+            raise ValueError(f"lowercase must be a boolean, got {self.lowercase!r}")
         if not 0 <= self.min_df <= 1 or not 0 < self.max_df <= 1:
             raise ValueError(
                 f"df bounds must be fractions, got min_df={self.min_df}, max_df={self.max_df}"
@@ -549,8 +558,6 @@ _JSON_FIELD_TYPES = {
     "text": ((str,), "a string"),
     "rating": ((int, float, str, type(None)), "a number or a numeric string"),
 }
-_JSON_KINDS = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
-               str: "a string", list: "an array", dict: "an object"}
 
 
 def _check_json_fields(obj, where):

@@ -23,10 +23,7 @@ def blas_core():
     """Name of the OpenBLAS kernel numpy's BLAS runs in this process (the
     core ``OPENBLAS_VERBOSE=2`` prints and ``OPENBLAS_CORETYPE`` forces), or
     None when numpy's BLAS is not an OpenBLAS that reports it."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
+    from numpy._core import _multiarray_umath as umath
     # numpy's extension links its BLAS, so a symbol lookup on its handle
     # finds the bundled OpenBLAS.
     lib = ctypes.CDLL(umath.__file__)

@@ -1,15 +1,19 @@
 import csv
+import functools
 import itertools
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cssnmf.cli
 import cssnmf.sweep
@@ -979,6 +983,20 @@ def _truncated(doc):
     return '{"version": 1,'
 
 
+def _mistyped_numbers(doc):
+    """One H entry a string, theta_1 true and lambda NaN: a model that once
+    scored with theta_1 = 1.0 and exited 0."""
+    H = [list(row) for row in doc["H"]]
+    H[0][0] = str(H[0][0])
+    return {**doc, "H": H, "theta": [doc["theta"][0], True, *doc["theta"][2:]],
+            "lambda": float("nan")}
+
+
+def _string_lowercase(doc):
+    return {**doc, "config": {**doc["config"],
+                              "tfidf": {**doc["config"]["tfidf"], "lowercase": "no"}}}
+
+
 @pytest.mark.parametrize("name, edit", [
     ("model.json", _drop("r")),
     ("model.json", _drop("H")),
@@ -994,11 +1012,14 @@ def _truncated(doc):
     ("vectorizer.json", _repeat_first_term),
     ("model.json", _truncated),
     ("vectorizer.json", _truncated),
+    ("model.json", _mistyped_numbers),
+    ("model.json", _string_lowercase),
 ], ids=["model-without-r", "model-without-H", "model-theta-number",
         "model-vocabulary-number", "model-tfidf-unknown-key", "model-array",
         "vectorizer-without-vocabulary", "vectorizer-config-unknown-key",
         "vectorizer-nan-idf", "vectorizer-array", "model-repeated-term",
-        "vectorizer-repeated-term", "model-truncated", "vectorizer-truncated"])
+        "vectorizer-repeated-term", "model-truncated", "vectorizer-truncated",
+        "model-mistyped-numbers", "model-tfidf-string-lowercase"])
 def test_malformed_model_or_vectorizer_exits_3(runner, tmp_path, fitted_text_model, name, edit):
     d = fitted_text_model
     doc = edit(json.loads((d / name).read_text()))
@@ -1013,6 +1034,83 @@ def test_malformed_model_or_vectorizer_exits_3(runner, tmp_path, fitted_text_mod
     assert res.exit_code == 3, res.output
     assert f"{bad}: " in res.stderr
     assert not (tmp_path / "out" / "model.json").exists()
+
+
+# Values of every JSON type, including the numbers a reader should refuse.
+JSON_SWAPS = [None, True, False, 0, -1, 2.5, 10 ** 400, float("nan"), float("-inf"), "", "x",
+              "1.5", [], [1.0], {}, {"a": 1}]
+
+
+def _json_paths(node, path=()):
+    """The path of ``node`` and of every value inside it, depth first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _json_paths(child, (*path, key))
+
+
+@st.composite
+def mutated_documents(draw, documents):
+    """One of ``documents`` (file name -> JSON text) with one field dropped,
+    one value swapped for another JSON value, one number set to NaN, or the
+    text cut short."""
+    name = draw(st.sampled_from(sorted(documents)))
+    text = documents[name]
+    kind = draw(st.sampled_from(["drop", "swap", "nan", "truncate"]))
+    if kind == "truncate":
+        return name, text[:draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(text)
+    paths = [p for p in _json_paths(doc) if p]
+    if kind == "nan":
+        paths = [p for p in paths if isinstance(functools.reduce(getitem, p, doc), float)]
+    path = draw(st.sampled_from(paths))
+    parent = functools.reduce(getitem, path[:-1], doc)
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = float("nan") if kind == "nan" else draw(st.sampled_from(JSON_SWAPS))
+    return name, json.dumps(doc)
+
+
+def _reads_back(out, command):
+    """Read every file ``command`` wrote to ``out`` back as its reader would."""
+    if command == "topics":
+        assert json.loads((out / "topics.json").read_text())["topics"]
+        assert (out / "topics.txt").read_text().startswith("intercept: ")
+    elif command == "fit":
+        assert load_model(out / "model.json").r == 2
+        assert len(csv_rows(out / "objective_trace.csv")) >= 1
+    else:
+        rows = csv_rows(out / "predictions.csv")
+        assert rows and all(np.isfinite(float(row["y_hat"])) for row in rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_model_or_vectorizer_exits_with_a_documented_code(
+        tmp_path_factory, fitted_text_model, data):
+    d = fitted_text_model
+    documents = {name: (d / name).read_text() for name in ("model.json", "vectorizer.json")}
+    name, text = data.draw(mutated_documents(documents))
+    work = tmp_path_factory.mktemp("mutated")
+    bad = work / name
+    bad.write_text(text)
+    if name == "model.json":
+        command, *args = data.draw(st.sampled_from([
+            ["predict", bad, d / "corpus.csv"],
+            ["predict", bad, d / "X.csv"],
+            ["topics", bad],
+        ]))
+    else:
+        command, *args = ["fit", d / "X.csv", d / "Y.csv", "--r", 2, "--restarts", 1,
+                          "--max-iter", 3, "--vectorizer", bad]
+    res = CliRunner().invoke(main, [str(a) for a in ["--out", work / "out", command, *args]])
+    assert res.exit_code in (0, 2, 3, 4), res.output
+    assert "Traceback" not in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    if res.exit_code == 0:
+        _reads_back(work / "out", command)
 
 
 def test_deeply_nested_json_exits_3_naming_the_file(runner, tmp_path, fitted_text_model):
@@ -1153,6 +1251,66 @@ def test_predict_leaves_ratings_outside_the_edges_out_of_groups(runner, tmp_path
     groups = csv_rows(tmp_path / "p" / "groups.csv")
     assert [int(g["count"]) for g in groups] == [1, 0, 1, 1]
     assert len(csv_rows(tmp_path / "p" / "predictions.csv")) == 5
+
+
+def test_fit_refuses_a_y_of_two_columns(runner, tmp_path, small_xy):
+    x_path, _ = small_xy
+    save_matrix_csv(tmp_path / "Y2.csv", np.ones((10, 2)))
+    res = runner.invoke(main, ["--out", str(tmp_path / "f"), "fit", str(x_path),
+                               str(tmp_path / "Y2.csv"), "--r", "1"])
+    assert_clean_exit(res, 3, f"{tmp_path / 'Y2.csv'}: expected one column, found 2")
+    assert not (tmp_path / "f" / "model.json").exists()
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("c.csv", "", "empty corpus file"),
+    ("c.jsonl", '{"id": "a", "rating": 3}\n', "line 1 lacks field 'text'"),
+], ids=["empty-csv", "json-lines-without-text"])
+def test_ingest_refuses_a_corpus_without_text(runner, tmp_path, name, text, message):
+    corpus_path = tmp_path / name
+    corpus_path.write_text(text)
+    res = runner.invoke(main, ["--out", str(tmp_path / "i"), "ingest", str(corpus_path)])
+    assert_clean_exit(res, 3, f"{corpus_path}: {message}")
+    assert not (tmp_path / "i" / "X.csv").exists()
+
+
+def test_ingest_skips_blank_lines_between_json_lines_records(runner, tmp_path):
+    rows = write_corpus(tmp_path / "c.csv", n=12, seed=5)
+    records = [json.dumps({**row, "rating": float(row["rating"])}) for row in rows]
+    (tmp_path / "tight.jsonl").write_text("\n".join(records) + "\n")
+    (tmp_path / "loose.jsonl").write_text("\n\n".join(records) + "\n  \n\t\n")
+    for name in ("tight", "loose"):
+        res = runner.invoke(main, ["--out", str(tmp_path / name), "ingest",
+                                   str(tmp_path / f"{name}.jsonl"), "--min-df", "0.05",
+                                   "--max-df", "0.9"])
+        assert_clean_exit(res, 0, "X.csv")
+    assert ((tmp_path / "loose" / "X.csv").read_bytes()
+            == (tmp_path / "tight" / "X.csv").read_bytes())
+
+
+def test_predict_refuses_a_model_whose_theta_is_not_r_plus_one_long(runner, tmp_path,
+                                                                  fitted_text_model):
+    d = fitted_text_model
+    doc = json.loads((d / "model.json").read_text())
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps({**doc, "theta": doc["theta"][:-1]}))
+    res = runner.invoke(main, ["--out", str(tmp_path / "p"), "predict", str(bad),
+                               str(d / "corpus.csv")])
+    assert_clean_exit(res, 3, f"{bad}: model document is inconsistent: H/theta shapes disagree")
+    assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
+def test_fit_refuses_a_vectorizer_whose_idf_is_not_its_vocabulary_long(runner, tmp_path,
+                                                                      fitted_text_model):
+    d = fitted_text_model
+    doc = json.loads((d / "vectorizer.json").read_text())
+    bad = tmp_path / "vectorizer.json"
+    bad.write_text(json.dumps({**doc, "idf": doc["idf"] + [1.0]}))
+    res = runner.invoke(main, ["--out", str(tmp_path / "f"), "fit", str(d / "X.csv"),
+                               str(d / "Y.csv"), "--r", "2", "--vectorizer", str(bad)])
+    assert_clean_exit(res, 3, f"{bad}: vectorizer document is inconsistent: idf/vocabulary "
+                              "sizes disagree")
+    assert not (tmp_path / "f" / "model.json").exists()
 
 
 # ------------------------------------------------------------------- topics

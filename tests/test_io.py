@@ -447,6 +447,9 @@ def test_write_json_bytes_and_read_json(tmp_path):
     ("{", "Expecting"),
     ('{"version": 1,', r"d\.json: Expecting property name"),
     ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+    ('{"version": true}', "unsupported version True"),
+    ('{"version": 1.0}', "unsupported version 1.0"),
+    ('{"version": 1, "r": 1' + "0" * 5000 + "}", r"d\.json: Exceeds the limit"),
 ])
 def test_read_json_rejects_non_objects(tmp_path, text, message):
     path = tmp_path / "d.json"
@@ -462,6 +465,13 @@ def test_read_json_rejects_non_objects(tmp_path, text, message):
     ({"a": ["x"]}, "field 'a' must be a 1-d array"),
     ({"a": [1.0, [2.0]]}, "field 'a' must be a 1-d array"),
     ({"a": [1.0, float("nan")]}, "field 'a' has non-finite entries"),
+    ({"a": [1.0, 10 ** 400]}, "field 'a' must be a 1-d array of numbers$"),
+    # numpy alone reads each of these as a float: "1.5" as 1.5, true as 1.0, null as NaN.
+    ({"a": ["1.5"]}, "field 'a' must be a 1-d array of numbers, found a string$"),
+    ({"a": [1.0, True]}, "field 'a' must be a 1-d array of numbers, found a boolean$"),
+    ({"a": [None]}, "field 'a' must be a 1-d array of numbers, found null$"),
+    ({"a": [" 2 ", False]}, "field 'a' must be a 1-d array of numbers, found a boolean and a "
+                            "string$"),
 ])
 def test_json_array_names_the_field(doc, message):
     with pytest.raises(ValueError, match=f"^doc.json: {message}"):

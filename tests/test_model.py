@@ -419,6 +419,35 @@ def test_fit_raises_numeric_failure_when_all_restarts_fail(monkeypatch):
         fit(X, np.zeros(5), FitConfig(r=2, lam=0.0, restarts=3))
 
 
+def test_fit_drops_a_restart_whose_normalization_moves_the_objective(monkeypatch):
+    # Doubling W moves N, so F after normalization is not F before it.
+    monkeypatch.setattr(cssnmf.model, "normalize",
+                        lambda fac: Factorization(2.0 * fac.W, fac.H, fac.theta))
+    X = np.abs(np.random.default_rng(17).uniform(size=(5, 4)))
+    with pytest.raises(NumericFailure, match=r"all 2 restarts failed \(restart 0: "
+                                             r"normalization changed the objective: .*"
+                                             r"restart 1: normalization changed the objective"):
+        fit(X, np.zeros(5), FitConfig(r=2, lam=0.5, restarts=2))
+
+
+def test_fit_drops_a_restart_that_ends_on_a_non_finite_objective(monkeypatch):
+    real_fit_once = cssnmf.model._fit_once
+
+    def nan_first(X, Y, cfg, seed, restart_index):
+        fac, report = real_fit_once(X, Y, cfg, seed, restart_index)
+        if restart_index == 0:
+            report.final_objective = float("nan")
+        return fac, report
+
+    monkeypatch.setattr(cssnmf.model, "_fit_once", nan_first)
+    X = np.abs(np.random.default_rng(17).uniform(size=(5, 4)))
+    _, report = fit(X, np.zeros(5), FitConfig(r=2, lam=0.5, restarts=2))
+    assert report.restart_index == 1
+    with pytest.raises(NumericFailure, match=r"^all 1 restarts failed \(restart 0: "
+                                             r"non-finite objective\)$"):
+        fit(X, np.zeros(5), FitConfig(r=2, lam=0.5, restarts=1))
+
+
 def reference_data(kind):
     if kind == "text":
         return text_like_matrix(60, 90, seed=21)
@@ -794,6 +823,18 @@ def _write_model_doc(path, **changes):
     ({"idf": "high"}, "field 'idf' must be a 1-d array"),
     ({"config": 7}, "field 'config' must be an object"),
     ({"vocabulary": ["alpha", "alpha"]}, "field 'vocabulary' repeats the term 'alpha'"),
+    # Each of these once loaded: "lambda": NaN as nan, true as 1.0, "1.5" as 1.5.
+    ({"lambda": float("nan")}, "field 'lambda' must be a number, finite as a float, got nan"),
+    ({"lambda": float("inf")}, "field 'lambda' must be a number, finite as a float, got inf"),
+    ({"lambda": "1.5"}, "field 'lambda' must be a number, finite as a float, got '1.5'"),
+    ({"lambda": True}, "field 'lambda' must be a number, finite as a float, got True"),
+    ({"lambda": 10 ** 400}, "field 'lambda' must be a number, finite as a float"),
+    ({"r": True}, "field 'r' must equal H's 1 rows, got True"),
+    ({"r": 1.0}, "field 'r' must equal H's 1 rows, got 1.0"),
+    ({"H": [[0.25, "0.75"]]}, "field 'H' must be a 2-d array of numbers, found a string"),
+    ({"theta": [0.5, True]}, "field 'theta' must be a 1-d array of numbers, found a boolean"),
+    ({"idf": [1.0, None]}, "field 'idf' must be a 1-d array of numbers, found null"),
+    ({"H": [[0.25, -0.75]]}, "field 'H' has negative entries"),
 ])
 def test_load_model_rejects_bad_parameters(tmp_path, changes, message):
     path = tmp_path / "model.json"

@@ -187,6 +187,12 @@ def test_build_is_deterministic():
     {"min_df": 0.5, "max_df": 0.2},
     {"stopwords": "french"},
     {"norm": "l2"},
+    # Settings read from JSON: {"lowercase": "no"} once built a config that lowercases.
+    {"lowercase": "no"},
+    {"lowercase": 0},
+    {"min_df": True},
+    {"max_df": "0.5"},
+    {"min_df": None},
 ])
 def test_tfidf_config_validation(kwargs):
     with pytest.raises(ValueError):
