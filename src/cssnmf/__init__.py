@@ -29,10 +29,8 @@ from .sweep import SweepSpec, lambda_grid, run_sweep
 from .synthetic import SyntheticConfig, SyntheticDataset, generate, split_arrays
 from .text import (
     DocumentTermMatrix,
-    RatedCorpus,
     RatedDocument,
     TfidfConfig,
-    Vocabulary,
     balance,
     build_tfidf,
     load_corpus,
@@ -69,10 +67,8 @@ __all__ = [
     "generate",
     "split_arrays",
     "DocumentTermMatrix",
-    "RatedCorpus",
     "RatedDocument",
     "TfidfConfig",
-    "Vocabulary",
     "balance",
     "build_tfidf",
     "load_corpus",

@@ -27,7 +27,6 @@ from .text import (
     BLOCK_ROWS,
     STOPWORD_LISTS,
     TfidfConfig,
-    Vocabulary,
     balance,
     build_tfidf,
     check_edges,
@@ -165,16 +164,17 @@ def ingest(obj, corpus, min_df, max_df, stopwords, lowercase, balance_edges, rat
     edges = None if balance_edges is None else _parse_edges(balance_edges, "--balance-edges")
     cfg = _config(TfidfConfig, min_df=min_df, max_df=max_df, stopwords=stopwords,
                   lowercase=lowercase)
-    rc = load_corpus(corpus, rating_range=tuple(bounds))
+    docs = load_corpus(corpus, rating_range=tuple(bounds))
     if edges is not None:
-        rc = balance(rc, edges, obj["seed"])
-        click.echo(f"balanced to {len(rc)} documents over {len(edges) - 1} intervals")
-    dtm = build_tfidf(rc, cfg)
+        docs = balance(docs, edges, obj["seed"])
+        click.echo(f"balanced to {len(docs)} documents over {len(edges) - 1} intervals")
+    dtm = build_tfidf(docs, cfg)
     out = _outdir(obj)
-    save_matrix_csv(out / "X.csv", dtm.sparse_blocks(), header=list(dtm.vocab.terms))
-    save_vector_csv(out / "Y.csv", rc.ratings(), name="rating")
+    save_matrix_csv(out / "X.csv", dtm.sparse_blocks(), header=list(dtm.vocab))
+    # load_corpus refused any document without a rating.
+    save_vector_csv(out / "Y.csv", [e.rating for e in docs], name="rating")
     save_vectorizer(out / "vectorizer.json", dtm, cfg)
-    click.echo(f"{len(rc)} documents x {len(dtm.vocab)} terms")
+    click.echo(f"{len(docs)} documents x {len(dtm.vocab)} terms")
     if dtm.zero_rows:
         ids = ", ".join(str(dtm.doc_ids[i]) for i in dtm.zero_rows)
         click.echo(
@@ -214,13 +214,13 @@ def fit_cmd(obj, x_path, y_path, r, lam, tau, max_iter, restarts, vectorizer):
             raise ValueError(
                 f"vectorizer has {len(vocab)} terms but X has {X.shape[1]} columns"
             )
-        if header is not None and tuple(header) != vocab.terms:
+        if header is not None and tuple(header) != vocab:
             raise ValueError(f"{x_path}: header is not the vocabulary of {vectorizer}, in order")
     fac, report = fit_model(X, Y, cfg)
     out = _outdir(obj)
     save_model(
         out / "model.json", fac, cfg, report,
-        vocabulary=None if vocab is None else list(vocab.terms),
+        vocabulary=vocab,
         idf=idf,
         tfidf=None if tf_cfg is None else asdict(tf_cfg),
     )
@@ -298,9 +298,11 @@ def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
     """Predict ratings: predictions.csv, plus groups.csv when true ratings
     are available."""
     edge_values = _parse_edges(edges, "--edges")
-    model = load_model(model_path)
     if fmt == "auto":
         fmt = "text" if is_corpus_file(docs_path) else "matrix"
+    if fmt == "text" and ratings_path is not None:
+        raise click.UsageError("--ratings applies to matrix input; corpus files carry ratings inline")
+    model = load_model(model_path)
     if fmt == "text":
         if model.vocabulary is None:
             raise click.UsageError(
@@ -309,20 +311,17 @@ def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
         if model.idf is None:
             raise ValueError("model carries a vocabulary but no idf weights")
         tf_cfg = tfidf_config(model.config.get("tfidf", {}), f"{model_path}: field 'config.tfidf'")
-        vocab = Vocabulary.from_terms(model.vocabulary)
-        rc = load_corpus(docs_path, require_rating=False)
-        ids = [e.id for e in rc.entries]
-        y_true = [e.rating for e in rc.entries]
-        if ratings_path is not None:
-            raise click.UsageError("--ratings applies to matrix input; corpus files carry ratings inline")
+        docs = load_corpus(docs_path, require_rating=False)
+        ids = [e.id for e in docs]
+        y_true = [e.rating for e in docs]
         # One block of documents per call: a document's encoding does not
         # depend on the other documents in its call, so the scores are
         # those of a single call over every document.
         y_hats, W = [], []
-        for i in range(0, len(rc), BLOCK_ROWS):
-            texts = [e.text for e in rc.entries[i:i + BLOCK_ROWS]]
+        for i in range(0, len(docs), BLOCK_ROWS):
+            texts = [e.text for e in docs[i:i + BLOCK_ROWS]]
             y, w = predict_many(model.H, model.theta,
-                                vectorize_many(texts, vocab, tf_cfg, model.idf))
+                                vectorize_many(texts, model.vocabulary, tf_cfg, model.idf))
             y_hats.append(y)
             W.append(w)
         y_hats, W = np.concatenate(y_hats), np.concatenate(W)

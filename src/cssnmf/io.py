@@ -341,6 +341,18 @@ def json_array(path, doc, name, ndim):
     return a
 
 
+def _json_idf(path, doc):
+    """Field ``idf`` of a model or vectorizer document, as :func:`json_array`
+    reads it; raises ``ValueError`` naming ``path`` and the field if an
+    entry is below 1, which no smoothed idf ``ln((1 + n) / (1 + df)) + 1``
+    is, since df <= n."""
+    idf = json_array(path, doc, "idf", 1)
+    if np.any(idf < 1):
+        raise ValueError(f"{path}: field 'idf' has an entry below 1, which no smoothed "
+                         "idf has")
+    return idf
+
+
 def json_terms(path, doc, name):
     """Field ``name`` of a JSON document as a list of distinct strings;
     raises ``ValueError`` naming ``path`` and the field."""

@@ -44,7 +44,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .io import json_array, json_terms, read_json, write_json
+from .io import _json_idf, json_array, json_terms, read_json, write_json
 from .linalg import ConvergenceError, lstsq, nnls_multi
 
 __all__ = [
@@ -288,16 +288,10 @@ class _Restart:
         if it does not raise ``F``, then the normalization and a trace row."""
         X, Y, lam = self.X, self.Y, self.lam
         W, H, theta, F, N, R = self.W, self.H, self.theta, self.F, self.N, self.R
-        # At extreme lam the augmented system can overflow.  A non-finite
-        # Gram or cross product makes nnls_multi raise ValueError, which
-        # fails the restart; a finite W_new whose trial residual overflows
-        # compares False below and is rejected.  Either way the IEEE
-        # warnings carry no information here.
-        with np.errstate(over="ignore", invalid="ignore"):
-            W_new = update_w(X, Y, H, theta, lam, W)
-            N_new, R_new = _recon_error(X, W_new, H), _regress_error(Y, W_new, theta)
-            if (F_new := N_new + lam * R_new) <= F:
-                W, F, N, R = W_new, F_new, N_new, R_new
+        W_new = update_w(X, Y, H, theta, lam, W)
+        N_new, R_new = _recon_error(X, W_new, H), _regress_error(Y, W_new, theta)
+        if (F_new := N_new + lam * R_new) <= F:
+            W, F, N, R = W_new, F_new, N_new, R_new
 
         H_new = update_h(X, W, self.H_warm)
         N_new = _recon_error(X, W, H_new)
@@ -339,12 +333,22 @@ class _Restart:
 
 
 def _fit_once(X, Y, cfg, seed, restart_index):
-    """One run of the alternating loop from a fresh random initialization."""
-    state = _Restart(X, Y, cfg, seed)
-    while state.rel_err > cfg.tau and len(state.trace) <= cfg.max_iter:
-        state.step()
-    if cfg.lam == 0:
-        state.fit_theta()
+    """One run of the alternating loop from a fresh random initialization.
+
+    At extreme ``lam``, or with data near the float range, the products and
+    residuals can overflow.  A non-finite Gram or cross product makes
+    nnls_multi raise ValueError, which fails the restart; a step whose
+    trial objective overflows compares False against a finite ``F`` and is
+    rejected; a non-finite final objective fails the restart in
+    :func:`fit`.  Either way the IEEE warnings carry no information, so the
+    loop runs without them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = _Restart(X, Y, cfg, seed)
+        while state.rel_err > cfg.tau and len(state.trace) <= cfg.max_iter:
+            state.step()
+        if cfg.lam == 0:
+            state.fit_theta()
     report = FitReport(
         objective_trace=state.trace,
         final_objective=state.trace[-1][1],
@@ -497,8 +501,8 @@ def save_model(path, fac, cfg, report, vocabulary=None, idf=None, tfidf=None):
 
 def load_model(path):
     """Read a model JSON document back into a :class:`Model`; a missing,
-    mistyped, non-finite or mis-sized field raises ``ValueError`` naming
-    ``path`` and the field."""
+    mistyped, non-finite or mis-sized field, or an idf below 1, raises
+    ``ValueError`` naming ``path`` and the field."""
     doc = read_json(path, MODEL_VERSION)
     H = json_array(path, doc, "H", 2)
     if np.any(H < 0):
@@ -516,7 +520,7 @@ def load_model(path):
         raise ValueError(f"{path}: field 'lambda' must be a number, finite as a float, "
                          f"got {lam!r}")
     vocabulary = None if doc.get("vocabulary") is None else json_terms(path, doc, "vocabulary")
-    idf = None if doc.get("idf") is None else json_array(path, doc, "idf", 1)
+    idf = None if doc.get("idf") is None else _json_idf(path, doc)
     for key, value in (("vocabulary", vocabulary), ("idf", idf)):
         if value is not None and len(value) != H.shape[1]:
             raise ValueError(

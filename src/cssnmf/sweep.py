@@ -106,12 +106,15 @@ def _run_cell(X_tr, Y_tr, X_te, Y_te, cfg):
             best_restart=-1, iterations=0, status=f"failed: {err}",
         )
     y_hat, _ = predict_many(fac.H, fac.theta, X_te)
+    # Test rows near the float range can square past it: the MSE is then inf.
+    with np.errstate(over="ignore"):
+        test_mse = float(np.mean(np.square(y_hat - Y_te)))
     return SweepCell(
         r=cfg.r,
         lam=cfg.lam,
         # The last trace row's R is the returned model's training error.
         train_mse=report.objective_trace[-1][3] / X_tr.shape[0],
-        test_mse=float(np.mean(np.square(y_hat - Y_te))),
+        test_mse=test_mse,
         final_F=report.final_objective,
         best_restart=report.restart_index,
         iterations=report.iterations_run,

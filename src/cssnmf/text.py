@@ -30,20 +30,18 @@ import json
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import chain, repeat
 
 import numpy as np
 
-from .io import (_JSON_KINDS, SparseRows, _is_numeric_row, json_array, json_terms, read_json,
+from .io import (_JSON_KINDS, SparseRows, _is_numeric_row, _json_idf, json_terms, read_json,
                  write_json)
 
 __all__ = [
     "RatedDocument",
-    "RatedCorpus",
-    "Vocabulary",
     "TfidfConfig",
     "tfidf_config",
     "DocumentTermMatrix",
@@ -82,46 +80,6 @@ class RatedDocument:
     id: str
     text: str
     rating: float = None
-
-
-@dataclass
-class RatedCorpus:
-    """Corpus records.  Ratings may be any number; :func:`load_corpus`
-    checks them against a rating range when it is given one."""
-
-    entries: list
-
-    def __len__(self):
-        return len(self.entries)
-
-    def ratings(self):
-        out = []
-        for e in self.entries:
-            if e.rating is None:
-                raise ValueError(f"document {e.id!r} has no rating")
-            out.append(e.rating)
-        return np.asarray(out, dtype=float)
-
-
-@dataclass(frozen=True)
-class Vocabulary:
-    """Term list in column order, with its inverse lookup."""
-
-    terms: tuple
-    index: dict = field(hash=False, compare=False, default=None)
-
-    @classmethod
-    def from_terms(cls, terms):
-        terms = tuple(terms)
-        if len(set(terms)) != len(terms):
-            raise ValueError("vocabulary terms must be unique")
-        return cls(terms=terms, index={t: j for j, t in enumerate(terms)})
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __contains__(self, term):
-        return term in self.index
 
 
 @dataclass(frozen=True)
@@ -174,11 +132,12 @@ class DocumentTermMatrix:
     at the same positions.  :meth:`blocks` builds the dense l1-normalized
     tf-idf rows ``BLOCK_ROWS`` documents at a time, :meth:`sparse_blocks`
     the same rows as their nonzeros, and :attr:`X` all of them at once.
-    ``zero_rows`` lists documents whose tokens all fell outside the
-    vocabulary; their rows are all zeros and are legal model input.
+    ``vocab`` is the tuple of terms in column order.  ``zero_rows`` lists
+    documents whose tokens all fell outside the vocabulary; their rows are
+    all zeros and are legal model input.
     """
 
-    vocab: Vocabulary
+    vocab: tuple
     doc_ids: list
     idf: np.ndarray
     zero_rows: list
@@ -338,7 +297,7 @@ def _tfidf_entries(indptr, cols, tfs, idf):
 
 
 def build_tfidf(corpus, cfg):
-    """Vectorize a corpus.
+    """Vectorize a corpus, a sequence of :class:`RatedDocument`.
 
     Terms are kept when their document frequency df satisfies
     ``ceil(min_df * n) <= df <= floor(max_df * n)``.  Weights are raw term
@@ -349,7 +308,7 @@ def build_tfidf(corpus, cfg):
         raise ValueError("corpus is empty")
     n = len(corpus)
     columns = _NewColumns(stopword_set(cfg.stopwords))
-    indptr, cols, tfs = _count_terms((e.text for e in corpus.entries), cfg,
+    indptr, cols, tfs = _count_terms((e.text for e in corpus), cfg,
                                      lambda terms: map(columns.__getitem__, terms))
     # A document counts each term once, so a term's df is its entry count.
     df = np.bincount(cols, minlength=len(columns.terms)).tolist()
@@ -363,18 +322,18 @@ def build_tfidf(corpus, cfg):
             f"empty vocabulary: no term has document frequency in [{lo}, {hi}] "
             f"across {n} documents (min_df={cfg.min_df}, max_df={cfg.max_df})"
         )
-    vocab = Vocabulary.from_terms(sorted(kept))
-    idf = np.array([math.log((1 + n) / (1 + df[columns[t]])) + 1.0 for t in vocab.terms])
+    vocab = tuple(sorted(kept))
+    idf = np.array([math.log((1 + n) / (1 + df[columns[t]])) + 1.0 for t in vocab])
     # Renumber the counted columns in vocabulary order; dropped terms get -1.
     renumber = np.full(len(columns.terms), -1, dtype=np.int64)
-    renumber[[columns[t] for t in vocab.terms]] = np.arange(len(vocab))
+    renumber[[columns[t] for t in vocab]] = np.arange(len(vocab))
     indptr, cols, tfs = _drop_unmapped(indptr, renumber[cols], tfs)
     # Columns ascending within each document, as the CSV writer takes them.
     order = np.argsort(np.repeat(np.arange(n), np.diff(indptr)) * len(vocab) + cols)
     cols, tfs = cols[order], tfs[order]
     return DocumentTermMatrix(
         vocab=vocab,
-        doc_ids=[e.id for e in corpus.entries],
+        doc_ids=[e.id for e in corpus],
         idf=idf,
         zero_rows=np.flatnonzero(np.diff(indptr) == 0).tolist(),
         indptr=indptr,
@@ -384,11 +343,13 @@ def build_tfidf(corpus, cfg):
 
 
 def vectorize_many(docs, vocab, cfg, idf):
-    """Vectorize unseen documents against a fitted vocabulary: one
-    l1-normalized tf-idf row per document, built in one pass.
+    """Vectorize unseen documents against a fitted vocabulary, the sequence
+    of its terms in column order: one l1-normalized tf-idf row per
+    document, built in one pass.
 
     Out-of-vocabulary tokens are dropped; a document with no known tokens
-    maps to the zero vector.
+    maps to the zero vector.  A vocabulary that repeats a term raises
+    ``ValueError``.
     """
     idf = np.asarray(idf, dtype=float)
     if idf.shape[0] != len(vocab):
@@ -396,7 +357,9 @@ def vectorize_many(docs, vocab, cfg, idf):
     # Out-of-vocabulary terms, and stopwords and one-character terms even
     # when the vocabulary holds them, take column -1 and are not counted.
     stop = stopword_set(cfg.stopwords)
-    columns = {t: -1 if len(t) == 1 or t in stop else j for t, j in vocab.index.items()}
+    columns = {t: -1 if len(t) == 1 or t in stop else j for j, t in enumerate(vocab)}
+    if len(columns) != len(vocab):
+        raise ValueError("vocabulary terms must be unique")
     counts = _count_terms(docs, cfg, lambda terms: map(columns.get, terms, repeat(-1)))
     return _tfidf_rows(*counts, idf)
 
@@ -425,12 +388,12 @@ def balance(corpus, edges, seed):
     """Subsample so every rating interval contributes the same count.
 
     The per-interval count is the smallest interval population; sampling is
-    without replacement and deterministic in the seed.  Output preserves
-    interval order, then sampled order.
+    without replacement and deterministic in the seed.  The output is a
+    list that preserves interval order, then sampled order.
     """
     edges = check_edges(edges)
     buckets = [[] for _ in range(len(edges) - 1)]
-    for i, e in enumerate(corpus.entries):
+    for i, e in enumerate(corpus):
         if e.rating is None:
             raise ValueError(f"document {e.id!r} has no rating; cannot balance")
         buckets[interval_index(e.rating, edges)].append(i)
@@ -445,8 +408,7 @@ def balance(corpus, edges, seed):
     for b in buckets:
         picks = rng.choice(len(b), size=take, replace=False)
         chosen.extend(b[p] for p in picks)
-    entries = [corpus.entries[i] for i in chosen]
-    return RatedCorpus(entries=entries)
+    return [corpus[i] for i in chosen]
 
 
 # Corpus files with these suffixes are JSON-lines; any other is CSV.
@@ -469,11 +431,11 @@ def _long_csv_fields():
 
 
 def load_corpus(path, rating_range=None, require_rating=True):
-    """Read a corpus from CSV (columns id, text, rating) or JSON-lines
-    (objects with the same fields), in UTF-8 with or without a byte-order
-    mark.  A CSV field may hold up to :data:`CSV_FIELD_LIMIT` characters,
-    and a CSV record must have as many fields as the header.
-    The rating field may be absent when
+    """Read a corpus, as a list of :class:`RatedDocument`, from CSV (columns
+    id, text, rating) or JSON-lines (objects with the same fields), in UTF-8
+    with or without a byte-order mark.  A CSV field may hold up to
+    :data:`CSV_FIELD_LIMIT` characters, and a CSV record must have as many
+    fields as the header.  The rating field may be absent when
     ``require_rating`` is false.  When ``rating_range`` is a ``(lo, hi)``
     pair, every present rating must lie in ``[lo, hi]``."""
     path = str(path)
@@ -526,7 +488,7 @@ def load_corpus(path, rating_range=None, require_rating=True):
                 raise ValueError(
                     f"document {e.id!r} has rating {e.rating!r} outside [{lo}, {hi}]"
                 )
-    return RatedCorpus(entries=entries)
+    return entries
 
 
 def is_corpus_file(path):
@@ -599,7 +561,7 @@ def save_vectorizer(path, dtm, cfg):
     doc = {
         "version": VECTORIZER_VERSION,
         "config": asdict(cfg),
-        "vocabulary": list(dtm.vocab.terms),
+        "vocabulary": list(dtm.vocab),
         "idf": [float(v) for v in dtm.idf],
         "doc_ids": list(dtm.doc_ids),
         "zero_rows": list(dtm.zero_rows),
@@ -608,12 +570,13 @@ def save_vectorizer(path, dtm, cfg):
 
 
 def load_vectorizer(path):
-    """Read a vectorizer JSON back as ``(Vocabulary, idf, TfidfConfig)``; a
-    missing, mistyped, non-finite or mis-sized field raises ``ValueError``
-    naming ``path`` and the field."""
+    """Read a vectorizer JSON back as ``(terms, idf, TfidfConfig)``, the terms
+    a tuple in column order; a missing, mistyped, non-finite or mis-sized
+    field, or an idf below 1, raises ``ValueError`` naming ``path`` and the
+    field."""
     doc = read_json(path, VECTORIZER_VERSION)
-    vocab = Vocabulary.from_terms(json_terms(path, doc, "vocabulary"))
-    idf = json_array(path, doc, "idf", 1)
+    vocab = tuple(json_terms(path, doc, "vocabulary"))
+    idf = _json_idf(path, doc)
     if idf.shape[0] != len(vocab):
         raise ValueError(
             f"{path}: vectorizer document is inconsistent: idf/vocabulary sizes disagree"

@@ -332,14 +332,16 @@ def fit_once_reference(X, Y, cfg, seed, restart_index):
 
 
 # Reference oracle: the one-document tf-idf row builder that
-# cssnmf.text._tfidf_rows replaced, kept verbatim (apart from its name).
+# cssnmf.text._tfidf_rows replaced, kept verbatim apart from its name and its
+# column lookup, now a dict built from the terms.
 # Every row of build_tfidf and vectorize_many must equal its row, bit for bit.
 
 def row_from_counts_reference(counts, vocab, idf):
     """One l1-normalized tf-idf row; returns (row, is_zero)."""
     x = np.zeros(len(vocab))
+    column = {t: j for j, t in enumerate(vocab)}
     for term, tf in counts.items():
-        j = vocab.index.get(term)
+        j = column.get(term)
         if j is not None:
             x[j] = tf * idf[j]
     s = x.sum()

@@ -20,7 +20,7 @@ from cssnmf.linalg import nnls
 from cssnmf.model import Factorization, FitConfig, fit, normalize, objective
 from cssnmf.sweep import SweepSpec, run_sweep, write_sweep_csv
 from cssnmf.synthetic import SyntheticConfig, generate
-from cssnmf.text import RatedCorpus, RatedDocument, balance, interval_index
+from cssnmf.text import RatedDocument, balance, interval_index
 
 
 def verdict(ok, number, message):
@@ -244,14 +244,13 @@ def test_c09_balance_downsamples_to_smallest_interval():
             entries.append(RatedDocument(id=f"{interval}-{j}",
                                          text=f"word{interval} word{j}",
                                          rating=rating))
-    corpus = RatedCorpus(entries=entries)
-    balanced = balance(corpus, edges, seed=0)
+    balanced = balance(entries, edges, seed=0)
     per_interval = [0, 0, 0, 0]
-    for doc in balanced.entries:
+    for doc in balanced:
         per_interval[interval_index(doc.rating, edges)] += 1
-    ok = len(balanced.entries) == 228 and per_interval == [57, 57, 57, 57]
+    ok = len(balanced) == 228 and per_interval == [57, 57, 57, 57]
     assert verdict(ok, 9, f"interval counts {counts} balance to "
-                          f"{len(balanced.entries)} documents, "
+                          f"{len(balanced)} documents, "
                           f"{per_interval} per interval (expected 228 = 4 x 57)"), \
         per_interval
 

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -34,7 +35,7 @@ from cssnmf.model import (
     save_model,
 )
 from cssnmf.synthetic import SyntheticConfig, generate, split_arrays
-from cssnmf.text import TfidfConfig, Vocabulary, tokenize
+from cssnmf.text import TfidfConfig, load_vectorizer, tokenize
 
 
 @pytest.fixture
@@ -808,8 +809,9 @@ def test_ingest_and_predict_count_the_terms_of_a_review_past_the_csv_field_limit
     # One-character tokens and the stopword are not terms.
     assert vec["vocabulary"] == ["42", "apple", "banana", "cherry", "delta"]
     cfg = TfidfConfig(**vec["config"])
-    vocab, idf = Vocabulary.from_terms(vec["vocabulary"]), np.array(vec["idf"])
-    rows = [row_from_counts_reference(Counter(tokenize(t, cfg)), vocab, idf)[0] for t in texts]
+    idf = np.array(vec["idf"])
+    rows = [row_from_counts_reference(Counter(tokenize(t, cfg)), vec["vocabulary"], idf)[0]
+            for t in texts]
     save_matrix_csv_reference(tmp_path / "X_ref.csv", rows, header=vec["vocabulary"])
     assert (tmp_path / "ing" / "X.csv").read_bytes() == (tmp_path / "X_ref.csv").read_bytes()
 
@@ -819,8 +821,7 @@ def test_ingest_and_predict_count_the_terms_of_a_review_past_the_csv_field_limit
                               tfidf=vec["config"])
     res = invoke(runner, ["--out", tmp_path / "p", "predict", model_path, corpus])
     assert res.exit_code == 0, res.output
-    scored = Vocabulary.from_terms(terms)
-    X = np.array([row_from_counts_reference(Counter(tokenize(t, cfg)), scored, idf[1:])[0]
+    X = np.array([row_from_counts_reference(Counter(tokenize(t, cfg)), terms, idf[1:])[0]
                   for t in texts])
     y_hats, W = predict_many(H, theta, X)
     write_table(tmp_path / "expected.csv", ["id", "y_hat", "w_1", "w_2"],
@@ -997,6 +998,10 @@ def _string_lowercase(doc):
                               "tfidf": {**doc["config"]["tfidf"], "lowercase": "no"}}}
 
 
+def _first_idf(value):
+    return lambda doc: {**doc, "idf": [value, *doc["idf"][1:]]}
+
+
 @pytest.mark.parametrize("name, edit", [
     ("model.json", _drop("r")),
     ("model.json", _drop("H")),
@@ -1014,12 +1019,16 @@ def _string_lowercase(doc):
     ("vectorizer.json", _truncated),
     ("model.json", _mistyped_numbers),
     ("model.json", _string_lowercase),
+    ("model.json", _first_idf(-1.0)),
+    ("model.json", lambda doc: {**doc, "idf": [0.0] * len(doc["idf"])}),
+    ("vectorizer.json", _first_idf(0.5)),
 ], ids=["model-without-r", "model-without-H", "model-theta-number",
         "model-vocabulary-number", "model-tfidf-unknown-key", "model-array",
         "vectorizer-without-vocabulary", "vectorizer-config-unknown-key",
         "vectorizer-nan-idf", "vectorizer-array", "model-repeated-term",
         "vectorizer-repeated-term", "model-truncated", "vectorizer-truncated",
-        "model-mistyped-numbers", "model-tfidf-string-lowercase"])
+        "model-mistyped-numbers", "model-tfidf-string-lowercase", "model-negative-idf",
+        "model-zero-idf", "vectorizer-idf-below-1"])
 def test_malformed_model_or_vectorizer_exits_3(runner, tmp_path, fitted_text_model, name, edit):
     d = fitted_text_model
     doc = edit(json.loads((d / name).read_text()))
@@ -1080,6 +1089,13 @@ def _reads_back(out, command):
     elif command == "fit":
         assert load_model(out / "model.json").r == 2
         assert len(csv_rows(out / "objective_trace.csv")) >= 1
+    elif command == "ingest":
+        X, header = load_matrix_csv(out / "X.csv")
+        terms, idf, _ = load_vectorizer(out / "vectorizer.json")
+        assert tuple(header) == terms
+        assert X.shape == (len(load_vector_csv(out / "Y.csv")), len(idf))
+    elif command == "sweep":
+        assert [row["status"] for row in csv_rows(out / "sweep.csv")]
     else:
         rows = csv_rows(out / "predictions.csv")
         assert rows and all(np.isfinite(float(row["y_hat"])) for row in rows)
@@ -1105,6 +1121,96 @@ def test_mutated_model_or_vectorizer_exits_with_a_documented_code(
     else:
         command, *args = ["fit", d / "X.csv", d / "Y.csv", "--r", 2, "--restarts", 1,
                           "--max-iter", 3, "--vectorizer", bad]
+    res = CliRunner().invoke(main, [str(a) for a in ["--out", work / "out", command, *args]])
+    assert res.exit_code in (0, 2, 3, 4), res.output
+    assert "Traceback" not in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    if res.exit_code == 0:
+        _reads_back(work / "out", command)
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory, fitted_text_model):
+    """Small valid input files by name, and the models that score them: a
+    synthetic X and Y with a model fitted on them, and the fitted text
+    model's corpus as CSV and as JSON lines."""
+    d = tmp_path_factory.mktemp("inputs")
+    runner = CliRunner()
+    assert invoke(runner, ["--out", d, "synth", "--n", 12, "--m", 5, "--r", 2]).exit_code == 0
+    assert invoke(runner, ["--out", d, "fit", d / "X.csv", d / "Y.csv", "--r", 2,
+                           "--restarts", 1, "--max-iter", 3]).exit_code == 0
+    with open(fitted_text_model / "corpus.csv", newline="") as fh:
+        records = [{**rec, "rating": float(rec["rating"])} for rec in csv.DictReader(fh)]
+    (d / "corpus.jsonl").write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    files = {"X.csv": d / "X.csv", "Y.csv": d / "Y.csv",
+             "corpus.csv": fitted_text_model / "corpus.csv", "corpus.jsonl": d / "corpus.jsonl"}
+    return ({name: path.read_text() for name, path in files.items()},
+            d / "model.json", fitted_text_model / "model.json")
+
+
+# What a mutation writes in place of a number, a header name or nothing.
+NUMBER_SPELLINGS = ["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e-400", "1e308",
+                    "1e200", "1e100", "1e-320", "-1.0", "0", ""]
+HEADER_NAMES = ["", "id", "text", "rating", "1", "1.5", "nan", "x0", " ", '"', "\ufeffid"]
+STRAY_TEXT = ["\ufeff", "\r", "\x00", "\r\n", ",", '"']
+
+
+@st.composite
+def mutated_inputs(draw, texts):
+    """One of ``texts`` (file name -> text) with one line cut or duplicated,
+    a cell added or dropped, a header name changed, a byte-order mark, CR,
+    NUL or other stray text inserted, or a number spelled otherwise."""
+    name = draw(st.sampled_from(sorted(texts)))
+    text = texts[name]
+    lines = text.split("\n")
+    kind = draw(st.sampled_from(["cut", "duplicate", "add-cell", "drop-cell", "header",
+                                 "insert", "number"]))
+    k = draw(st.integers(0, len(lines) - 1))
+    if kind == "cut":
+        del lines[k]
+    elif kind == "duplicate":
+        lines.insert(k, lines[k])
+    elif kind == "add-cell":
+        lines[k] += "," + draw(st.sampled_from(["1.0", "0", "", "x"]))
+    elif kind == "drop-cell":
+        lines[k] = lines[k].rpartition(",")[0]
+    elif kind == "header":
+        names = lines[0].split(",")
+        names[draw(st.integers(0, len(names) - 1))] = draw(st.sampled_from(HEADER_NAMES))
+        lines[0] = ",".join(names)
+    elif kind == "insert":
+        at = draw(st.integers(0, len(text)))
+        return name, text[:at] + draw(st.sampled_from(STRAY_TEXT)) + text[at:]
+    else:
+        numbers = list(re.finditer(r"-?\d+(\.\d+)?(e-?\d+)?", text))
+        found = draw(st.sampled_from(numbers))
+        return name, (text[:found.start()] + draw(st.sampled_from(NUMBER_SPELLINGS))
+                      + text[found.end():])
+    return name, "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_matrix_or_corpus_exits_with_a_documented_code(
+        tmp_path_factory, small_inputs, data):
+    texts, synth_model, text_model = small_inputs
+    name, text = data.draw(mutated_inputs(texts))
+    work = tmp_path_factory.mktemp("mutated")
+    for other, original in texts.items():
+        (work / other).write_text(text if other == name else original, newline="")
+    X, Y, fit_options = work / "X.csv", work / "Y.csv", ["--restarts", 1, "--max-iter", 3]
+    if name in ("X.csv", "Y.csv"):
+        command, *args = data.draw(st.sampled_from([
+            ["fit", X, Y, "--r", 2, *fit_options],
+            ["sweep", X, Y, "--r", 2, "--lambdas", "0,1", *fit_options],
+            ["predict", synth_model, X, "--ratings", Y],
+        ]))
+    else:
+        command, *args = data.draw(st.sampled_from([
+            ["ingest", work / name, "--min-df", 0.05, "--max-df", 0.9],
+            ["predict", text_model, work / name],
+        ]))
     res = CliRunner().invoke(main, [str(a) for a in ["--out", work / "out", command, *args]])
     assert res.exit_code in (0, 2, 3, 4), res.output
     assert "Traceback" not in res.output
@@ -1236,6 +1342,20 @@ def test_predict_refuses_ratings_beside_a_corpus(runner, tmp_path, fitted_text_m
                                str(tmp_path / "ratings.csv")])
     assert_clean_exit(res, 2, "--ratings applies to matrix input")
     assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("fmt", ["text", "auto"])
+def test_predict_refuses_ratings_beside_a_malformed_corpus(runner, tmp_path, fitted_text_model,
+                                                           fmt):
+    # The usage error once waited for the corpus to be read, which exited 3.
+    bad = tmp_path / "bad.csv"
+    bad.write_text("id,text,rating\na,fine words,3\nb,more words,4,extra\n")
+    save_vector_csv(tmp_path / "ratings.csv", np.ones(2))
+    res = runner.invoke(main, [str(a) for a in [
+        "--out", tmp_path / "p", "predict", fitted_text_model / "model.json", bad,
+        "--input-format", fmt, "--ratings", tmp_path / "ratings.csv"]])
+    assert_clean_exit(res, 2, "--ratings applies to matrix input")
+    assert not (tmp_path / "p").exists()
 
 
 def test_predict_leaves_ratings_outside_the_edges_out_of_groups(runner, tmp_path):

@@ -670,6 +670,17 @@ def test_fit_skips_a_restart_whose_iterates_overflow():
     assert report.restart_index == 1 and np.isfinite(report.final_objective)
 
 
+@pytest.mark.parametrize("data", ["X", "Y"])
+def test_fit_on_data_near_the_float_range_fails_without_an_overflow_warning(data):
+    # An entry of 1e200 overflows the first products.  The restart fails as
+    # before, but numpy's overflow RuntimeWarning once reached the user too.
+    ds = generate(SyntheticConfig(n=12, m=5, r_true=2, seed=0))
+    X, Y = ds.X.copy(), ds.Y.copy()
+    (X[0] if data == "X" else Y)[0] = 1e200
+    with pytest.raises(NumericFailure, match="all 1 restarts failed"):
+        fit(X, Y, FitConfig(r=2, restarts=1, max_iter=3))
+
+
 # ------------------------------------------------------------------ predict
 
 def test_predict_empty_document_returns_intercept():
@@ -835,6 +846,9 @@ def _write_model_doc(path, **changes):
     ({"theta": [0.5, True]}, "field 'theta' must be a 1-d array of numbers, found a boolean"),
     ({"idf": [1.0, None]}, "field 'idf' must be a 1-d array of numbers, found null"),
     ({"H": [[0.25, -0.75]]}, "field 'H' has negative entries"),
+    # A smoothed idf is at least 1: -1 once blamed the documents, 0 scored them as theta_0.
+    ({"idf": [1.0, -1.0]}, "field 'idf' has an entry below 1"),
+    ({"idf": [0.0, 0.0]}, "field 'idf' has an entry below 1"),
 ])
 def test_load_model_rejects_bad_parameters(tmp_path, changes, message):
     path = tmp_path / "model.json"

@@ -1,4 +1,6 @@
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,3 +14,13 @@ def test_every_exported_name_resolves(name):
     # tracer, which wraps every exported function of each module.
     module = importlib.import_module(name)
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+def test_readme_python_examples_run():
+    # Each fenced python block of README.md runs on its own, as a reader
+    # would paste it.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert blocks
+    for source in blocks:
+        exec(compile(source, "README.md", "exec"), {"__name__": "readme"})

@@ -20,7 +20,6 @@ from cssnmf.io import write_table
 from cssnmf.model import Factorization, FitConfig, FitReport, fit, predict_many, save_model
 from cssnmf.text import (
     BLOCK_ROWS,
-    RatedCorpus,
     RatedDocument,
     TfidfConfig,
     build_tfidf,
@@ -53,8 +52,7 @@ def boundary_texts(seed):
 
 
 def corpus_of(texts):
-    return RatedCorpus(entries=[RatedDocument(id=f"d{i}", text=t, rating=1.0 + i % 5)
-                                for i, t in enumerate(texts)])
+    return [RatedDocument(id=f"d{i}", text=t, rating=1.0 + i % 5) for i, t in enumerate(texts)]
 
 
 def reference_rows(texts, dtm):
@@ -113,19 +111,19 @@ def test_ingest_and_predict_across_block_boundaries(tmp_path):
     assert res.exit_code == 0, res.output
 
     dtm = build_tfidf(load_corpus(train), CFG)
-    save_matrix_csv_reference(tmp_path / "X_ref.csv", dtm.X, header=list(dtm.vocab.terms))
+    save_matrix_csv_reference(tmp_path / "X_ref.csv", dtm.X, header=list(dtm.vocab))
     assert (tmp_path / "ing" / "X.csv").read_bytes() == (tmp_path / "X_ref.csv").read_bytes()
 
     model_path = tmp_path / "model.json"
-    H, theta = text_model(model_path, dtm.vocab.terms, dtm.idf, asdict(CFG), r=3, seed=5)
+    H, theta = text_model(model_path, dtm.vocab, dtm.idf, asdict(CFG), r=3, seed=5)
     res = runner.invoke(main, ["--out", str(tmp_path / "p"), "predict", str(model_path),
                                str(held_out)])
     assert res.exit_code == 0, res.output
     docs = load_corpus(held_out)
-    y_hats, W = predict_many(H, theta, vectorize_many([e.text for e in docs.entries],
+    y_hats, W = predict_many(H, theta, vectorize_many([e.text for e in docs],
                                                       dtm.vocab, CFG, dtm.idf))
     write_table(tmp_path / "expected.csv", ["id", "y_hat", "w_1", "w_2", "w_3"],
-                ([e.id, y, *w] for e, y, w in zip(docs.entries, y_hats, W)))
+                ([e.id, y, *w] for e, y, w in zip(docs, y_hats, W)))
     assert (tmp_path / "p" / "predictions.csv").read_bytes() == \
         (tmp_path / "expected.csv").read_bytes()
 

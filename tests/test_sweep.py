@@ -88,6 +88,18 @@ def test_sweep_grid_covers_all_cells_in_order():
     assert all(c.train_mse >= 0 and c.test_mse >= 0 for c in cells)
 
 
+def test_a_test_row_near_the_float_range_gives_an_infinite_test_mse():
+    # Its squared error overflows.  The cells are ok with test MSE inf, but
+    # numpy's overflow RuntimeWarning once reached the user too.
+    ds = generate(SyntheticConfig(n=12, m=5, r_true=2, seed=0))
+    spec = SweepSpec(r_values=[2], lambda_values=[0.0, 1.0], restarts=1, max_iter=3)
+    _, _, (_, test_idx) = split_arrays(ds.X, ds.Y, spec.train_frac, spec.split_seed)
+    X = ds.X.copy()
+    X[test_idx[-1], 0] = 1e308
+    cells = run_sweep(X, ds.Y, spec)
+    assert [(c.status, c.test_mse) for c in cells] == [("ok", np.inf)] * 2
+
+
 def test_failed_cell_is_flagged_but_sweep_continues(monkeypatch):
     real_fit = cssnmf.sweep.fit
 

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import row_from_counts_reference
 from cssnmf.text import (
-    RatedCorpus,
     RatedDocument,
     TfidfConfig,
-    Vocabulary,
     balance,
     build_tfidf,
     interval_index,
@@ -29,11 +27,10 @@ NO_STOP = TfidfConfig(min_df=0.0, max_df=1.0, stopwords="none")
 
 
 def corpus_of(texts, ratings=None):
-    entries = [
+    return [
         RatedDocument(id=f"d{i}", text=t, rating=None if ratings is None else ratings[i])
         for i, t in enumerate(texts)
     ]
-    return RatedCorpus(entries=entries)
 
 
 # ----------------------------------------------------------------- tokenize
@@ -77,7 +74,7 @@ def test_stopword_list_is_versioned_and_fixed():
 
 def test_single_term_corpus():
     dtm = build_tfidf(corpus_of(["word", "word"]), NO_STOP)
-    assert list(dtm.vocab.terms) == ["word"]
+    assert dtm.vocab == ("word",)
     assert np.array_equal(dtm.X, [[1.0], [1.0]])
     assert dtm.zero_rows == []
 
@@ -101,7 +98,7 @@ def test_five_document_hand_computed_oracle():
         "cherry date egg",
     ]
     dtm = build_tfidf(corpus_of(texts), NO_STOP)
-    assert list(dtm.vocab.terms) == ["apple", "banana", "cherry", "date", "egg"]
+    assert dtm.vocab == ("apple", "banana", "cherry", "date", "egg")
     idf = {
         "apple": math.log(6 / 3) + 1,
         "banana": math.log(6 / 4) + 1,
@@ -119,10 +116,10 @@ def test_five_document_hand_computed_oracle():
     ]
     for i, counts in enumerate(raw):
         for t, tf in counts.items():
-            expected[i, dtm.vocab.index[t]] = tf * idf[t]
+            expected[i, dtm.vocab.index(t)] = tf * idf[t]
         expected[i] /= expected[i].sum()
     assert np.allclose(dtm.X, expected, atol=1e-12)
-    assert np.allclose([idf[t] for t in dtm.vocab.terms], dtm.idf, atol=1e-12)
+    assert np.allclose([idf[t] for t in dtm.vocab], dtm.idf, atol=1e-12)
 
 
 def test_rows_are_l1_normalized():
@@ -160,15 +157,15 @@ def test_empty_vocabulary_reports_bounds():
 
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError):
-        build_tfidf(RatedCorpus(entries=[]), NO_STOP)
+        build_tfidf([], NO_STOP)
 
 
 def test_vocabulary_is_sorted_and_bijective():
     texts = ["zebra apple", "apple mango", "mango zebra"]
     dtm = build_tfidf(corpus_of(texts), NO_STOP)
-    terms = list(dtm.vocab.terms)
+    terms = list(dtm.vocab)
     assert terms == sorted(terms)
-    assert all(dtm.vocab.terms[j] == t for t, j in dtm.vocab.index.items())
+    assert len(set(terms)) == len(terms)
 
 
 def test_build_is_deterministic():
@@ -176,7 +173,7 @@ def test_build_is_deterministic():
     a = build_tfidf(corpus_of(texts), NO_STOP)
     b = build_tfidf(corpus_of(texts), NO_STOP)
     assert np.array_equal(a.X, b.X)
-    assert a.vocab.terms == b.vocab.terms
+    assert a.vocab == b.vocab
 
 
 # ------------------------------------------------------------ tfidf config
@@ -220,15 +217,20 @@ def test_vectorize_mixed_tokens_hand_oracle():
     dtm = build_tfidf(corpus_of(texts), NO_STOP)
     x = vectorize_many(["apple apple zebra"], dtm.vocab, NO_STOP, dtm.idf)[0]
     expected = np.zeros(3)
-    expected[dtm.vocab.index["apple"]] = 2 * dtm.idf[dtm.vocab.index["apple"]]
+    expected[dtm.vocab.index("apple")] = 2 * dtm.idf[dtm.vocab.index("apple")]
     expected /= expected.sum()
     assert np.allclose(x, expected, atol=1e-12)
 
 
 def test_vectorize_checks_idf_length():
-    vocab = Vocabulary.from_terms(["apple", "banana"])
+    vocab = ("apple", "banana")
     with pytest.raises(ValueError):
         vectorize_many(["apple"], vocab, NO_STOP, np.ones(3))
+
+
+def test_vectorize_refuses_a_repeated_term():
+    with pytest.raises(ValueError, match="vocabulary terms must be unique"):
+        vectorize_many(["apple"], ["apple", "banana", "apple"], NO_STOP, np.ones(3))
 
 
 def zipf_texts(rng, n, words):
@@ -291,8 +293,8 @@ def test_counting_equals_per_document_tokenize_on_edge_text(stopwords, lowercase
     df = Counter(t for text in EDGE_TEXTS for t in set(tokenize(text, cfg)))
     lo, hi = math.ceil(min_df * n - 1e-9), math.floor(max_df * n + 1e-9)
     dtm = build_tfidf(corpus_of(EDGE_TEXTS), cfg)
-    assert dtm.vocab.terms == tuple(sorted(t for t, c in df.items() if lo <= c <= hi))
-    assert not set(dtm.vocab.terms) & stopword_set(stopwords)
+    assert dtm.vocab == tuple(sorted(t for t, c in df.items() if lo <= c <= hi))
+    assert not set(dtm.vocab) & stopword_set(stopwords)
     X, zero_rows = reference_rows_and_zeros(EDGE_TEXTS, dtm.vocab, dtm.idf, cfg)
     assert np.array_equal(dtm.X, X)
     assert dtm.zero_rows == zero_rows
@@ -303,14 +305,13 @@ def test_vectorize_never_counts_a_stopword_in_the_vocabulary():
     # A hand-written model may hold a stopword or a one-character term; the
     # tokenizer finds neither.
     cfg = TfidfConfig(stopwords="english")
-    vocab = Vocabulary.from_terms(["the", "apple", "οδος", "stanbul", "2024", "pear", "9", "k",
-                                   "x", "kelvin"])
+    vocab = ("the", "apple", "οδος", "stanbul", "2024", "pear", "9", "k", "x", "kelvin")
     idf = np.linspace(1.0, 2.0, len(vocab))
     X = vectorize_many(EDGE_TEXTS, vocab, cfg, idf)
     expected, _ = reference_rows_and_zeros(EDGE_TEXTS, vocab, idf, cfg)
     assert np.array_equal(X, expected)
-    assert not X[:, [vocab.index[t] for t in ("the", "9", "k", "x")]].any()
-    assert X[:, vocab.index["apple"]].any() and X[:, vocab.index["kelvin"]].any()
+    assert not X[:, [vocab.index(t) for t in ("the", "9", "k", "x")]].any()
+    assert X[:, vocab.index("apple")].any() and X[:, vocab.index("kelvin")].any()
 
 
 # Letters whose case mapping, word-character class or length is easy to get
@@ -332,7 +333,7 @@ def test_counting_equals_per_document_tokenize_on_drawn_text(texts, lowercase, s
             build_tfidf(corpus_of(texts), cfg)
         return
     dtm = build_tfidf(corpus_of(texts), cfg)
-    assert dtm.vocab.terms == tuple(sorted(df))
+    assert dtm.vocab == tuple(sorted(df))
     X, zero_rows = reference_rows_and_zeros(texts, dtm.vocab, dtm.idf, cfg)
     assert np.array_equal(dtm.X.view(np.int64), X.view(np.int64))
     assert dtm.zero_rows == zero_rows
@@ -341,8 +342,7 @@ def test_counting_equals_per_document_tokenize_on_drawn_text(texts, lowercase, s
 
 
 def test_vectorize_many_of_no_documents():
-    vocab = Vocabulary.from_terms(["apple", "banana"])
-    X = vectorize_many([], vocab, NO_STOP, np.ones(2))
+    X = vectorize_many([], ("apple", "banana"), NO_STOP, np.ones(2))
     assert X.shape == (0, 2)
 
 
@@ -355,14 +355,14 @@ def make_rated(counts, values):
         for _ in range(count):
             entries.append(RatedDocument(id=f"d{k}", text="t", rating=value))
             k += 1
-    return RatedCorpus(entries=entries)
+    return entries
 
 
 def test_balance_equalizes_interval_counts():
     corpus = make_rated([57, 235, 494, 629], [1.5, 2.5, 3.5, 4.5])
     out = balance(corpus, [1, 2, 3, 4, 5], seed=0)
     assert len(out) == 228
-    ratings = [e.rating for e in out.entries]
+    ratings = [e.rating for e in out]
     for lo in (1, 2, 3, 4):
         assert sum(lo <= v < lo + 1 or (lo == 4 and v == 5) for v in ratings) == 57
 
@@ -371,11 +371,11 @@ def test_balance_is_deterministic_and_duplicate_free():
     corpus = make_rated([5, 9, 3], [1.2, 2.7, 4.9])
     a = balance(corpus, [1, 2, 3, 5], seed=7)
     b = balance(corpus, [1, 2, 3, 5], seed=7)
-    assert [e.id for e in a.entries] == [e.id for e in b.entries]
-    ids = [e.id for e in a.entries]
+    assert [e.id for e in a] == [e.id for e in b]
+    ids = [e.id for e in a]
     assert len(ids) == len(set(ids)) == 9
     c = balance(corpus, [1, 2, 3, 5], seed=8)
-    assert [e.id for e in c.entries] != ids
+    assert [e.id for e in c] != ids
 
 
 def test_balance_top_edge_is_closed():
@@ -388,7 +388,7 @@ def test_balance_already_balanced_keeps_size():
     corpus = make_rated([4, 4], [1.5, 4.0])
     out = balance(corpus, [1, 3, 5], seed=1)
     assert len(out) == 8
-    assert {e.id for e in out.entries} == {e.id for e in corpus.entries}
+    assert {e.id for e in out} == {e.id for e in corpus}
 
 
 def test_balance_empty_interval_is_reported():
@@ -427,16 +427,16 @@ def test_rated_corpus_enforces_rating_range(tmp_path):
     p.write_text("id,text,rating\na,t,6\n")
     with pytest.raises(ValueError, match="outside"):
         load_corpus(p, rating_range=(1, 5))
-    assert load_corpus(p).ratings().tolist() == [6.0]
+    assert [e.rating for e in load_corpus(p)] == [6.0]
 
 
 def test_load_corpus_csv(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text('id,text,rating\nd1,"great, great lecture",4.5\nd2,boring,1.0\n')
-    rc = load_corpus(p)
-    assert [e.id for e in rc.entries] == ["d1", "d2"]
-    assert rc.entries[0].text == "great, great lecture"
-    assert rc.entries[1].rating == 1.0
+    docs = load_corpus(p)
+    assert [e.id for e in docs] == ["d1", "d2"]
+    assert docs[0].text == "great, great lecture"
+    assert docs[1].rating == 1.0
 
 
 def test_load_corpus_jsonl(tmp_path):
@@ -446,8 +446,8 @@ def test_load_corpus_jsonl(tmp_path):
         {"id": "b", "text": "confusing", "rating": 2},
     ]
     p.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    rc = load_corpus(p)
-    assert len(rc) == 2 and rc.entries[0].rating == 5.0
+    docs = load_corpus(p)
+    assert len(docs) == 2 and docs[0].rating == 5.0
 
 
 def test_load_corpus_missing_rating(tmp_path):
@@ -455,8 +455,7 @@ def test_load_corpus_missing_rating(tmp_path):
     p.write_text("id,text,rating\nd1,nice,\n")
     with pytest.raises(ValueError):
         load_corpus(p)
-    rc = load_corpus(p, require_rating=False)
-    assert rc.entries[0].rating is None
+    assert load_corpus(p, require_rating=False)[0].rating is None
 
 
 @pytest.mark.parametrize("record, message", [
@@ -483,8 +482,8 @@ def test_load_corpus_jsonl_takes_integer_ids_numeric_strings_and_null_ratings(tm
     p = tmp_path / "c.jsonl"
     p.write_text('{"id": 7, "text": "fine", "rating": "3.5"}\n'
                  '{"id": "b", "text": "fine", "rating": null}\n')
-    rc = load_corpus(p, require_rating=False)
-    assert [(e.id, e.rating) for e in rc.entries] == [("7", 3.5), ("b", None)]
+    docs = load_corpus(p, require_rating=False)
+    assert [(e.id, e.rating) for e in docs] == [("7", 3.5), ("b", None)]
 
 
 def test_load_corpus_errors(tmp_path):
@@ -530,7 +529,7 @@ def test_vectorizer_round_trip(tmp_path):
     assert list(json.loads(path.read_text())["config"]) == [
         "min_df", "max_df", "stopwords", "lowercase", "norm"]
     vocab, idf, cfg2 = load_vectorizer(path)
-    assert vocab.terms == dtm.vocab.terms
+    assert vocab == dtm.vocab
     assert np.array_equal(idf, dtm.idf)
     assert cfg2 == cfg
 
@@ -556,6 +555,8 @@ def _write_vectorizer_doc(path, **changes):
     ({"config": {"min_df": 0.0, "colour": "red"}}, "field 'config'.*colour"),
     ({"config": {"stopwords": "klingon"}}, "field 'config'.*stopwords"),
     ({"vocabulary": ["alpha", "alpha"]}, "field 'vocabulary' repeats the term 'alpha'"),
+    ({"idf": [1.0, 0.999]}, "field 'idf' has an entry below 1"),
+    ({"idf": [0.0, 0.0]}, "field 'idf' has an entry below 1"),
 ])
 def test_load_vectorizer_rejects_bad_documents(tmp_path, changes, message):
     path = tmp_path / "vec.json"
@@ -568,7 +569,7 @@ def test_load_vectorizer_keeps_the_files_term_order(tmp_path):
     path = tmp_path / "vec.json"
     _write_vectorizer_doc(path, vocabulary=["zebra", "apple"], idf=[3.0, 7.0])
     vocab, idf, _ = load_vectorizer(path)
-    assert vocab.terms == ("zebra", "apple") and vocab.index == {"zebra": 0, "apple": 1}
+    assert vocab == ("zebra", "apple")
     assert np.array_equal(idf, [3.0, 7.0])
 
 
