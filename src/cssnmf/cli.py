@@ -78,6 +78,23 @@ def _config(make, **options):
         raise click.UsageError(str(err)) from None
 
 
+def _check_xy(x_path, X, y_path=None, Y=None):
+    """Refuse what a fit or a scoring cannot take, naming the file: ``Y``
+    of another length than ``X``, and the first entry of ``X`` that is not
+    finite and nonnegative, or of ``Y`` that is not finite, by its 1-based
+    data row (the header not counted)."""
+    if Y is not None and len(Y) != len(X):
+        raise ValueError(f"{y_path} has {len(Y)} values for the {len(X)} data rows of {x_path}")
+    # min and max carry a NaN through, so only a bad X pays for the scan.
+    if not (X.min() >= 0 and X.max() < np.inf):
+        i, j = np.argwhere(~((X >= 0) & (X < np.inf)))[0]
+        raise ValueError(f"{x_path}: data row {i + 1}, column {j + 1} is {float(X[i, j])}; "
+                         "X must be finite and nonnegative")
+    if Y is not None and not np.isfinite(Y).all():
+        k = np.flatnonzero(~np.isfinite(Y))[0]
+        raise ValueError(f"{y_path}: data row {k + 1} is {float(Y[k])}; Y must be finite")
+
+
 def _parse_float_list(text, what):
     try:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
@@ -207,6 +224,7 @@ def fit_cmd(obj, x_path, y_path, r, lam, tau, max_iter, restarts, vectorizer):
                   seed=obj["seed"], restarts=restarts)
     X, header = load_matrix_csv(x_path)
     Y = load_vector_csv(y_path)
+    _check_xy(x_path, X, y_path, Y)
     vocab = idf = tf_cfg = None
     if vectorizer is not None:
         vocab, idf, tf_cfg = load_vectorizer(vectorizer)
@@ -267,6 +285,7 @@ def sweep(obj, x_path, y_path, r_list, lambdas, restarts, train_frac,
                    fit_seed=obj["seed"] if fit_seed is None else fit_seed)
     X, _ = load_matrix_csv(x_path)
     Y = load_vector_csv(y_path)
+    _check_xy(x_path, X, y_path, Y)
     cells = run_sweep(X, Y, spec)
     out = _outdir(obj)
     write_sweep_csv(out / "sweep.csv", cells)
@@ -286,7 +305,7 @@ def sweep(obj, x_path, y_path, r_list, lambdas, restarts, train_frac,
               default="auto", show_default=True,
               help="'text' expects a corpus file; 'matrix' a numeric CSV with one "
                    "document row per line; 'auto' reads a corpus when the header names "
-                   "id and text and the first record is not all numbers.")
+                   "id or text and the first record is not all numbers.")
 @click.option("--ratings", "ratings_path",
               type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None,
               help="Single-column CSV of true ratings (matrix input only).")
@@ -327,6 +346,7 @@ def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
         y_hats, W = np.concatenate(y_hats), np.concatenate(W)
     else:
         X, _ = load_matrix_csv(docs_path)
+        _check_xy(docs_path, X)
         ids = [str(i) for i in range(X.shape[0])]
         y_true = [None] * X.shape[0]
         if ratings_path is not None:

@@ -341,6 +341,17 @@ def json_array(path, doc, name, ndim):
     return a
 
 
+def _integer(name, value):
+    """``value`` of the count or seed ``name`` as an ``int``; raises
+    ``ValueError`` unless it is an integer, Python's or numpy's.  A bool,
+    which Python takes for an int, is none; ``int()`` alone would truncate
+    2.5 to a count of 2, and numpy refuses a float seed only when it draws.
+    A numpy integer becomes an ``int``, which ``json`` can write."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _json_idf(path, doc):
     """Field ``idf`` of a model or vectorizer document, as :func:`json_array`
     reads it; raises ``ValueError`` naming ``path`` and the field if an

@@ -44,7 +44,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .io import _json_idf, json_array, json_terms, read_json, write_json
+from .io import _integer, _json_idf, json_array, json_terms, read_json, write_json
 from .linalg import ConvergenceError, lstsq, nnls_multi
 
 __all__ = [
@@ -92,17 +92,19 @@ class FitConfig:
     restarts: int = 10
 
     def __post_init__(self):
-        if int(self.r) < 1:
+        for name in ("r", "max_iter", "seed", "restarts"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
         if not np.isfinite(self.lam) or self.lam < 0:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not np.isfinite(self.tau) or self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
-        if int(self.max_iter) < 1:
+        if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if int(self.restarts) < 1:
+        if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
 

@@ -11,7 +11,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .io import write_table
+from .io import _integer, write_table
 from .model import FitConfig, NumericFailure, fit, predict_many
 from .synthetic import split_arrays
 
@@ -57,13 +57,15 @@ class SweepSpec:
     configs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r_values = tuple(sorted({int(r) for r in self.r_values}))
+        for name in ("split_seed", "fit_seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        r_values = tuple(sorted({_integer("r_values", r) for r in self.r_values}))
         lambda_values = tuple(sorted(float(v) for v in self.lambda_values))
         if not r_values or not lambda_values:
             raise ValueError("r_values and lambda_values must be non-empty")
         if not 0 < self.train_frac < 1:
             raise ValueError(f"train_frac must lie in (0, 1), got {self.train_frac}")
-        if int(self.split_seed) < 0:
+        if self.split_seed < 0:
             raise ValueError(f"split_seed must be >= 0, got {self.split_seed}")
         configs = tuple(
             FitConfig(r=r, lam=lam, tau=self.tau, max_iter=self.max_iter,

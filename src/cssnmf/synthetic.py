@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .io import save_matrix_csv, save_vector_csv, write_json
+from .io import _integer, save_matrix_csv, save_vector_csv, write_json
 
 __all__ = [
     "SyntheticConfig",
@@ -36,7 +36,9 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(int(self.n), int(self.m), int(self.r_true)) < 1:
+        for name in ("n", "m", "r_true", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if min(self.n, self.m, self.r_true) < 1:
             raise ValueError(
                 f"n, m, r_true must all be >= 1, got {self.n}, {self.m}, {self.r_true}"
             )
@@ -50,7 +52,7 @@ class SyntheticConfig:
             raise ValueError(
                 f"noise_kind must be one of {NOISE_KINDS}, got {self.noise_kind!r}"
             )
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 

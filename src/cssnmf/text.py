@@ -129,44 +129,40 @@ class DocumentTermMatrix:
 
     The counts are CSR arrays: document ``i``'s terms are the columns
     ``cols[indptr[i]:indptr[i + 1]]``, ascending, with raw counts ``tfs``
-    at the same positions.  :meth:`blocks` builds the dense l1-normalized
-    tf-idf rows ``BLOCK_ROWS`` documents at a time, :meth:`sparse_blocks`
-    the same rows as their nonzeros, and :attr:`X` all of them at once.
-    ``vocab`` is the tuple of terms in column order.  ``zero_rows`` lists
-    documents whose tokens all fell outside the vocabulary; their rows are
-    all zeros and are legal model input.
+    at the same positions.  :meth:`sparse_blocks` builds the l1-normalized
+    tf-idf rows ``BLOCK_ROWS`` documents at a time as their nonzeros, and
+    :attr:`X` all of them at once as a dense matrix.  ``vocab`` is the
+    tuple of terms in column order.  :attr:`zero_rows` lists documents
+    whose tokens all fell outside the vocabulary; their rows are all zeros
+    and are legal model input.
     """
 
     vocab: tuple
     doc_ids: list
     idf: np.ndarray
-    zero_rows: list
     indptr: np.ndarray
     cols: np.ndarray
     tfs: np.ndarray
 
-    def blocks(self):
-        """The dense rows in order, ``BLOCK_ROWS`` documents per block."""
-        for start, stop in self._block_bounds():
-            yield self._rows(start, stop)
-
     def sparse_blocks(self):
-        """The blocks of :meth:`blocks` as :class:`~cssnmf.io.SparseRows`
-        holding the same values, bit for bit, without a scan for them."""
-        for start, stop in self._block_bounds():
-            yield _tfidf_entries(self.indptr[start:stop + 1], self.cols, self.tfs, self.idf)
+        """The rows in order as :class:`~cssnmf.io.SparseRows`,
+        ``BLOCK_ROWS`` documents per block, each the same values, bit for
+        bit, as the rows of :attr:`X`."""
+        for start in range(0, len(self.indptr) - 1, BLOCK_ROWS):
+            # Indexed, not unpacked: the dense block is freed before the yield.
+            yield _tfidf(self.indptr[start:start + BLOCK_ROWS + 1], self.cols, self.tfs,
+                         self.idf)[1]
 
     @property
     def X(self):
         """The dense ``(n, m)`` tf-idf matrix; each call builds it anew."""
-        return self._rows(0, len(self.indptr) - 1)
+        return _tfidf(self.indptr, self.cols, self.tfs, self.idf)[0]
 
-    def _block_bounds(self):
-        n = len(self.indptr) - 1
-        return [(start, min(start + BLOCK_ROWS, n)) for start in range(0, n, BLOCK_ROWS)]
-
-    def _rows(self, start, stop):
-        return _tfidf_rows(self.indptr[start:stop + 1], self.cols, self.tfs, self.idf)
+    @property
+    def zero_rows(self):
+        """The indices of the documents with no term in the vocabulary,
+        ascending."""
+        return np.flatnonzero(np.diff(self.indptr) == 0).tolist()
 
 
 @lru_cache(maxsize=None)
@@ -258,10 +254,16 @@ def _drop_unmapped(indptr, cols, tfs):
     return kept_before[indptr], cols[keep], tfs[keep]
 
 
-def _unnormalized(indptr, cols, tfs, idf):
-    """The tf-idf weights of the documents that ``indptr`` (a slice of a CSR
-    row pointer) spans, before normalization: as dense rows, and as the
-    weights ``w`` of their entries with each entry's row and column."""
+def _tfidf(indptr, cols, tfs, idf):
+    """The l1-normalized tf-idf rows of the documents that ``indptr`` (a
+    slice of a CSR row pointer) spans, as ``(dense rows, SparseRows)``; a
+    row with no terms stays zero.  The entries are in the order of
+    ``cols``, which the writer needs ascending within each row.
+
+    Each row's sum comes from its dense row, because the pairwise summation
+    over it sets the sum's bits; every entry is then divided once, and the
+    same quotients fill both forms.
+    """
     n = len(indptr) - 1
     lo, hi = indptr[0], indptr[-1]
     rows = np.repeat(np.arange(n), np.diff(indptr))
@@ -269,31 +271,10 @@ def _unnormalized(indptr, cols, tfs, idf):
     w = tfs[lo:hi] * idf[block_cols]
     X = np.zeros((n, len(idf)))
     X[rows, block_cols] = w
-    return X, rows, block_cols, w
-
-
-def _tfidf_rows(indptr, cols, tfs, idf):
-    """Dense l1-normalized tf-idf rows of the documents that ``indptr``
-    spans; a row with no terms stays zero."""
-    X = _unnormalized(indptr, cols, tfs, idf)[0]
-    s = X.sum(axis=1)[:, None]
-    # In place: dividing through a fancy index would copy the whole block.
-    np.divide(X, s, out=X, where=s > 0)
-    return X
-
-
-def _tfidf_entries(indptr, cols, tfs, idf):
-    """The rows of :func:`_tfidf_rows` as :class:`~cssnmf.io.SparseRows`,
-    in the order of ``cols``, which the writer needs ascending within each
-    row.
-
-    Each row's sum still comes from its dense row, because the pairwise
-    summation over it sets the sum's bits; the division is the same, so
-    every entry has the same bits as in the dense row.
-    """
-    X, rows, block_cols, w = _unnormalized(indptr, cols, tfs, idf)
-    s = X.sum(axis=1)
-    return SparseRows(indptr - indptr[0], block_cols, w / s[rows])
+    s = X.sum(axis=1)[rows]
+    np.divide(w, s, out=w, where=s > 0)
+    X[rows, block_cols] = w
+    return X, SparseRows(indptr - lo, block_cols, w)
 
 
 def build_tfidf(corpus, cfg):
@@ -335,7 +316,6 @@ def build_tfidf(corpus, cfg):
         vocab=vocab,
         doc_ids=[e.id for e in corpus],
         idf=idf,
-        zero_rows=np.flatnonzero(np.diff(indptr) == 0).tolist(),
         indptr=indptr,
         cols=cols,
         tfs=tfs,
@@ -361,7 +341,7 @@ def vectorize_many(docs, vocab, cfg, idf):
     if len(columns) != len(vocab):
         raise ValueError("vocabulary terms must be unique")
     counts = _count_terms(docs, cfg, lambda terms: map(columns.get, terms, repeat(-1)))
-    return _tfidf_rows(*counts, idf)
+    return _tfidf(*counts, idf)[0]
 
 
 def interval_index(value, edges):
@@ -495,9 +475,11 @@ def is_corpus_file(path):
     """Whether ``path`` holds a corpus rather than a numeric matrix.
 
     A JSON-lines file is a corpus.  A CSV file is one if its header names
-    the ``id`` and ``text`` columns and its first data record is not all
+    the ``id`` or the ``text`` column and its first data record is not all
     numbers: an ingested ``X.csv`` whose vocabulary holds the terms ``id``
-    and ``text`` has such a header, but numeric records.
+    and ``text`` has such a header, but numeric records, and a corpus that
+    misnames one of the two columns is read as one, so that
+    :func:`load_corpus` names the column it lacks.
     """
     if str(path).endswith(JSONL_SUFFIXES):
         return True
@@ -510,7 +492,7 @@ def is_corpus_file(path):
         except csv.Error as err:
             k = 1 if header is None else 2
             raise ValueError(f"{path}: record {k} is not valid CSV: {err}") from None
-    return {"id", "text"} <= set(header) and not _is_numeric_row(first)
+    return bool({"id", "text"} & set(header)) and not _is_numeric_row(first)
 
 
 # The JSON types a JSON-lines record's fields may have.  A boolean, which

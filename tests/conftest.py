@@ -331,8 +331,8 @@ def fit_once_reference(X, Y, cfg, seed, restart_index):
     return Factorization(W, H, theta), report
 
 
-# Reference oracle: the one-document tf-idf row builder that
-# cssnmf.text._tfidf_rows replaced, kept verbatim apart from its name and its
+# Reference oracle: the one-document tf-idf row builder that the batched
+# cssnmf.text._tfidf replaced, kept verbatim apart from its name and its
 # column lookup, now a dict built from the terms.
 # Every row of build_tfidf and vectorize_many must equal its row, bit for bit.
 

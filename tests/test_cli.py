@@ -572,6 +572,22 @@ NO_STOP_TFIDF = {"min_df": 0.0, "max_df": 1.0, "stopwords": "none", "lowercase":
                  "norm": "l1"}
 
 
+@pytest.mark.parametrize("header, missing", [("ident,text,rating", "['id']"),
+                                             ("id,body,rating", "['text']")])
+def test_predict_auto_names_the_column_a_corpus_misnames(runner, tmp_path, header, missing):
+    # One of the two column names is enough to read the file as a corpus,
+    # whose reader then names the other; it is not taken for a matrix.
+    model_path = tmp_path / "model.json"
+    _planted_model(model_path, vocab=["alpha", "beta", "gamma", "delta"], idf=[1.0] * 4,
+                   tfidf=NO_STOP_TFIDF)
+    corpus = tmp_path / "docs.csv"
+    corpus.write_text(f"{header}\ndoc0,hello world,3\n")
+    res, _ = _predict_rows(runner, tmp_path / "p", model_path, corpus)
+    assert res.exit_code == 3
+    assert f"missing columns {missing}" in res.stderr
+    assert "not numeric" not in res.stderr
+
+
 def test_predict_maps_corpus_terms_in_the_model_files_order(runner, tmp_path):
     # With H = I each topic is one term, so the encoding shows which column
     # a document's term went to; "zebra" is column 0, as in the file.
@@ -1217,6 +1233,42 @@ def test_mutated_matrix_or_corpus_exits_with_a_documented_code(
     assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
     if res.exit_code == 0:
         _reads_back(work / "out", command)
+
+
+@pytest.mark.parametrize("command", ["fit", "sweep", "predict"])
+@pytest.mark.parametrize("bad", ["x-nan", "x-negative", "y-nan", "y-long"])
+def test_bad_x_or_y_values_exit_3_naming_the_file_and_row(
+        runner, tmp_path, small_inputs, command, bad):
+    texts, synth_model, _ = small_inputs
+    X_path, Y_path = tmp_path / "X.csv", tmp_path / "Y.csv"
+    X_path.write_text(texts["X.csv"])
+    Y_path.write_text(texts["Y.csv"])
+    X, header = load_matrix_csv(X_path)
+    Y = load_vector_csv(Y_path)
+    if bad.startswith("x-"):
+        X[2, 1] = np.nan if bad == "x-nan" else -1.0
+        save_matrix_csv(X_path, X, header=header)
+    else:
+        save_vector_csv(Y_path, np.append(Y, 3.0) if bad == "y-long" else
+                        np.where(np.arange(len(Y)) == 4, np.nan, Y))
+    fit_options = ["--r", 2, "--restarts", 1, "--max-iter", 3]
+    args = {"fit": ["fit", X_path, Y_path, *fit_options],
+            "sweep": ["sweep", X_path, Y_path, *fit_options, "--lambdas", "0,1"],
+            "predict": ["predict", synth_model, X_path, "--ratings", Y_path]}[command]
+    res = runner.invoke(main, [str(a) for a in ["--out", tmp_path / "out", *args]])
+    if command == "predict" and bad == "y-nan":
+        # A rating may be NaN: it falls in no interval of groups.csv.
+        assert_clean_exit(res, 0, "rating(s) outside")
+        return
+    expected = {
+        "x-nan": f"{X_path}: data row 3, column 2 is nan",
+        "x-negative": f"{X_path}: data row 3, column 2 is -1.0",
+        "y-nan": f"{Y_path}: data row 5 is nan",
+        "y-long": (f"{Y_path} has 13 ratings for 12 documents" if command == "predict" else
+                   f"{Y_path} has 13 values for the 12 data rows of {X_path}"),
+    }[bad]
+    assert_clean_exit(res, 3, expected)
+    assert not (tmp_path / "out").exists()
 
 
 def test_deeply_nested_json_exits_3_naming_the_file(runner, tmp_path, fitted_text_model):

@@ -409,6 +409,16 @@ def test_fit_config_validation(kwargs):
         FitConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name, value", [("r", 2.5), ("r", "2"), ("r", True), ("max_iter", 2.5),
+                                         ("seed", 1.5), ("restarts", 1.5)])
+def test_fit_config_refuses_counts_and_seeds_that_are_not_integers(name, value):
+    # int() would have fitted r=2 for 2.5 and run 2 iterations for 2.5.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        FitConfig(**{"r": 2, name: value})
+    # A numpy integer is taken, as an int that json can write.
+    assert type(getattr(FitConfig(**{"r": 2, name: np.int64(3)}), name)) is int
+
+
 def test_fit_raises_numeric_failure_when_all_restarts_fail(monkeypatch):
     def explode(X, Y, H, theta, lam, W_old):
         raise ConvergenceError("no progress", best=None)

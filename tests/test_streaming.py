@@ -92,9 +92,14 @@ def test_rows_equal_the_per_document_reference_across_block_boundaries():
     assert same_bits(X, np.array([x for x, _ in ref]))
     assert dtm.zero_rows == [i for i, (_, is_zero) in enumerate(ref) if is_zero]
     assert set(BLOCK_STARTS + BLOCK_ENDS) <= set(dtm.zero_rows)
-    blocks = list(dtm.blocks())
-    assert [b.shape[0] for b in blocks] == [BLOCK_ROWS, BLOCK_ROWS, N_DOCS - 2 * BLOCK_ROWS]
-    assert same_bits(np.vstack(blocks), X)
+    blocks = list(dtm.sparse_blocks())
+    sizes = [len(b.indptr) - 1 for b in blocks]
+    assert sizes == [BLOCK_ROWS, BLOCK_ROWS, N_DOCS - 2 * BLOCK_ROWS]
+    scattered = np.zeros_like(X)
+    for start, b in zip(np.cumsum([0] + sizes), blocks):
+        rows = start + np.repeat(np.arange(len(b.indptr) - 1), np.diff(b.indptr))
+        scattered[rows, b.cols] = b.values
+    assert same_bits(scattered, X)
 
     held_out = boundary_texts(1)
     expected = np.array([x for x, _ in reference_rows(held_out, dtm)])

@@ -59,6 +59,15 @@ def test_spec_sorts_and_validates():
         SweepSpec(r_values=(1,), lambda_values=(0.0,), split_seed=-1)
 
 
+@pytest.mark.parametrize("name, value", [("r_values", (2.5,)), ("r_values", (2, True)),
+                                         ("split_seed", 1.5), ("fit_seed", 1.5)])
+def test_sweep_spec_refuses_counts_and_seeds_that_are_not_integers(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        SweepSpec(**{"r_values": (2,), "lambda_values": (0.0,), name: value})
+    spec = SweepSpec(r_values=(np.int64(2),), lambda_values=(0.0,), split_seed=np.int64(1))
+    assert [type(c.r) for c in spec.configs] == [int] and type(spec.split_seed) is int
+
+
 def test_single_cell_matches_direct_fit():
     ds = generate(SyntheticConfig(n=30, m=10, r_true=2, M=5.0, eta_x=1.0, eta_y=1.0, seed=21))
     spec = SweepSpec(r_values=(2,), lambda_values=(0.5,), restarts=2,

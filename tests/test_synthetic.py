@@ -67,6 +67,15 @@ def test_truncation_rate_matches_gaussian_oracle():
     assert abs(observed - expected) <= 3 * sigma, (observed, expected, sigma)
 
 
+@pytest.mark.parametrize("name, value", [("n", 2.5), ("n", "3"), ("m", True), ("r_true", 1.5),
+                                         ("seed", 1.5)])
+def test_config_refuses_counts_and_seeds_that_are_not_integers(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        SyntheticConfig(**{name: value})
+    # A numpy integer is taken, as an int that json can write.
+    assert type(getattr(SyntheticConfig(**{name: np.int64(3)}), name)) is int
+
+
 @pytest.mark.parametrize("kwargs", [
     {"n": 0},
     {"m": 0},
