@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 
 import functools
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -35,7 +34,6 @@ from .text import (
     load_corpus,
     load_vectorizer,
     save_vectorizer,
-    tfidf_config,
     vectorize_many,
 )
 
@@ -213,35 +211,32 @@ def ingest(obj, corpus, min_df, max_df, stopwords, lowercase, balance_edges, rat
               help="Relative objective-change tolerance.")
 @click.option("--max-iter", type=int, default=FitConfig.max_iter, show_default=True)
 @click.option("--restarts", type=int, default=FitConfig.restarts, show_default=True)
-@click.option("--vectorizer", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              default=None,
+@click.option("--vectorizer", "vectorizer_path",
+              type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None,
               help="vectorizer.json from ingest; embeds vocabulary and idf in the model.")
 @click.pass_obj
 @_mapped
-def fit_cmd(obj, x_path, y_path, r, lam, tau, max_iter, restarts, vectorizer):
+def fit_cmd(obj, x_path, y_path, r, lam, tau, max_iter, restarts, vectorizer_path):
     """Fit one model: model.json plus objective_trace.csv."""
     cfg = _config(FitConfig, r=r, lam=lam, tau=tau, max_iter=max_iter,
                   seed=obj["seed"], restarts=restarts)
     X, header = load_matrix_csv(x_path)
     Y = load_vector_csv(y_path)
     _check_xy(x_path, X, y_path, Y)
-    vocab = idf = tf_cfg = None
-    if vectorizer is not None:
-        vocab, idf, tf_cfg = load_vectorizer(vectorizer)
+    vectorizer = None
+    if vectorizer_path is not None:
+        vectorizer = load_vectorizer(vectorizer_path)
+        vocab = vectorizer[0]
         if len(vocab) != X.shape[1]:
             raise ValueError(
                 f"vectorizer has {len(vocab)} terms but X has {X.shape[1]} columns"
             )
         if header is not None and tuple(header) != vocab:
-            raise ValueError(f"{x_path}: header is not the vocabulary of {vectorizer}, in order")
+            raise ValueError(f"{x_path}: header is not the vocabulary of {vectorizer_path}, "
+                             "in order")
     fac, report = fit_model(X, Y, cfg)
     out = _outdir(obj)
-    save_model(
-        out / "model.json", fac, cfg, report,
-        vocabulary=vocab,
-        idf=idf,
-        tfidf=None if tf_cfg is None else asdict(tf_cfg),
-    )
+    save_model(out / "model.json", fac, cfg, report, vectorizer)
     write_table(out / "objective_trace.csv", ["iter", "F", "N", "R"], report.objective_trace)
     for w in report.warnings:
         click.echo(f"warning: {w}", err=True)
@@ -323,13 +318,11 @@ def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
         raise click.UsageError("--ratings applies to matrix input; corpus files carry ratings inline")
     model = load_model(model_path)
     if fmt == "text":
-        if model.vocabulary is None:
+        if model.vectorizer is None:
             raise click.UsageError(
                 "text input needs a model with a vocabulary; fit with --vectorizer"
             )
-        if model.idf is None:
-            raise ValueError("model carries a vocabulary but no idf weights")
-        tf_cfg = tfidf_config(model.config.get("tfidf", {}), f"{model_path}: field 'config.tfidf'")
+        vocab, idf, tf_cfg = model.vectorizer
         docs = load_corpus(docs_path, require_rating=False)
         ids = [e.id for e in docs]
         y_true = [e.rating for e in docs]
@@ -340,7 +333,7 @@ def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
         for i in range(0, len(docs), BLOCK_ROWS):
             texts = [e.text for e in docs[i:i + BLOCK_ROWS]]
             y, w = predict_many(model.H, model.theta,
-                                vectorize_many(texts, model.vocabulary, tf_cfg, model.idf))
+                                vectorize_many(texts, vocab, tf_cfg, idf))
             y_hats.append(y)
             W.append(w)
         y_hats, W = np.concatenate(y_hats), np.concatenate(W)
@@ -397,9 +390,10 @@ def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
 def topics(obj, model_path, top_k):
     """Report topics ordered by regression weight: topics.json, topics.txt."""
     model = load_model(model_path)
-    if model.vocabulary is None:
+    if model.vectorizer is None:
         raise click.UsageError("model has no vocabulary; fit with --vectorizer to name terms")
-    m = len(model.vocabulary)
+    vocab = model.vectorizer[0]
+    m = len(vocab)
     if top_k > m:
         click.echo(f"warning: --top-k {top_k} clamped to vocabulary size {m}", err=True)
         top_k = m
@@ -407,7 +401,7 @@ def topics(obj, model_path, top_k):
     order = sorted(range(model.H.shape[0]), key=lambda k: (-theta_w[k], k))
     report = {"intercept": float(model.theta[0]), "topics": []}
     for k in order:
-        ranked = sorted(zip(model.H[k], model.vocabulary), key=lambda tw: (-tw[0], tw[1]))
+        ranked = sorted(zip(model.H[k], vocab), key=lambda tw: (-tw[0], tw[1]))
         report["topics"].append({
             "topic": k,
             "theta": float(theta_w[k]),

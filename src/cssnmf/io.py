@@ -28,6 +28,7 @@ import json
 import re
 from collections import Counter
 from collections.abc import Iterator
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -276,9 +277,13 @@ def write_table(path, header, rows):
     """Write ``header`` and ``rows`` as CSV: ``float`` cells as
     :func:`format_float` spells them, any other cell as :mod:`csv` writes it
     (quoted, RFC 4180, when it holds a comma, a double quote or a line
-    break)."""
+    break, ``"\\r"`` or ``"\\n"``)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        # The csv writer quotes a cell for the characters of its line
+        # terminator only, so it is given "\r\n", and each row it hands
+        # over is written with "\n" in its place.
+        writer = csv.writer(SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n")),
+                            lineterminator="\r\n")
         writer.writerow(header)
         # float.__repr__ is format_float without a Python call per cell; it
         # spells a numpy float64, a float subclass, as the float it holds.
@@ -350,6 +355,21 @@ def _integer(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(name, value):
+    """``value`` of the setting ``name`` as a ``float``; raises
+    ``ValueError`` unless it is a real number, Python's or numpy's, that a
+    float can hold.  A bool, which Python takes for an int, is none, nor is
+    a string that ``float()`` would read.  A numpy float becomes a
+    ``float``, which ``json`` can write."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a real number a float can hold, got {value!r}") \
+            from None
 
 
 def _json_idf(path, doc):

@@ -37,6 +37,9 @@ array itself).  The updates build the augmented arrays
 ``np.hstack`` results, dropped on return: the ``hstack`` gives ``X_aug``
 ``X``'s memory order, which the cross product's rounding depends on, and a
 kept copy of it would double the fit's memory on wide text ``X``.
+
+:func:`save_model` and :func:`load_model` carry a text model's vectorizer
+``(terms, idf, TfidfConfig)`` as one value, read by ``text._vectorizer``.
 """
 
 import sys
@@ -44,8 +47,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .io import _integer, _json_idf, json_array, json_terms, read_json, write_json
+from .io import _integer, _real, json_array, read_json, write_json
 from .linalg import ConvergenceError, lstsq, nnls_multi
+from .text import _vectorizer
 
 __all__ = [
     "EPS_H",
@@ -94,6 +98,8 @@ class FitConfig:
     def __post_init__(self):
         for name in ("r", "max_iter", "seed", "restarts"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("lam", "tau"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
         if not np.isfinite(self.lam) or self.lam < 0:
@@ -274,7 +280,7 @@ class _Restart:
         n, m = X.shape
         r = cfg.r
         rng = np.random.default_rng(seed)
-        bound = float(X.max()) if X.size else 1.0
+        bound = float(X.max())
         self.X, self.Y, self.lam = X, Y, cfg.lam
         self.W = rng.uniform(0.0, bound, size=(n, r))
         self.H = self.H_warm = rng.uniform(0.0, bound, size=(r, m))
@@ -377,14 +383,15 @@ def fit(X, Y, cfg):
     Raises
     ------
     ValueError
-        On negative/non-finite data or shape disagreement.
+        On negative/non-finite data, an ``X`` without rows or columns, or
+        shape disagreement.
     NumericFailure
         If every restart fails or ends with a non-finite objective.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"X must be a matrix, got shape {X.shape}")
+    if X.ndim != 2 or 0 in X.shape:
+        raise ValueError(f"X must be a matrix with a row and a column, got shape {X.shape}")
     if Y.ndim != 1 or Y.shape[0] != X.shape[0]:
         raise ValueError(
             f"Y must be a vector of length {X.shape[0]}, got shape {Y.shape}"
@@ -401,7 +408,7 @@ def fit(X, Y, cfg):
         # ValueError here means the restart's iterates overflowed.
         try:
             fac, report = _fit_once(X, Y, cfg, seed=cfg.seed + k, restart_index=k)
-        except (ConvergenceError, NumericFailure, ValueError, np.linalg.LinAlgError) as err:
+        except (ConvergenceError, NumericFailure, ValueError) as err:
             failures.append((k, err))
             continue
         if not np.isfinite(report.final_objective):
@@ -460,25 +467,21 @@ MODEL_VERSION = 1
 
 @dataclass
 class Model:
-    """Deserialized model document; ``W`` is never persisted (recomputable
-    per document via :func:`predict_many`)."""
+    """Deserialized model document: ``H``, ``theta`` and the ``vectorizer``
+    ``(terms, idf, TfidfConfig)`` of a model fitted on text, else None; ``W``
+    is never persisted (recomputable per document via :func:`predict_many`)."""
 
-    r: int
-    lam: float
-    theta: np.ndarray
     H: np.ndarray
-    config: dict
-    objective_trace: list
-    vocabulary: list = None
-    idf: np.ndarray = None
+    theta: np.ndarray
+    vectorizer: tuple = None
 
 
-def save_model(path, fac, cfg, report, vocabulary=None, idf=None, tfidf=None):
+def save_model(path, fac, cfg, report, vectorizer=None):
     """Write the model as a single JSON document.
 
-    Persists ``H``, ``theta``, hyperparameters, and the objective trace;
-    vocabulary, idf, and the vectorizer settings travel along when fitted
-    on a text corpus so new documents can be vectorized for prediction.
+    Persists ``H``, ``theta``, hyperparameters, and the objective trace; a
+    model fitted on text passes its ``vectorizer`` ``(terms, idf,
+    TfidfConfig)`` along, so new documents can be vectorized for prediction.
     """
     doc = {
         "version": MODEL_VERSION,
@@ -487,14 +490,14 @@ def save_model(path, fac, cfg, report, vocabulary=None, idf=None, tfidf=None):
         "theta": [float(v) for v in fac.theta],
         "H": [[float(v) for v in row] for row in fac.H],
     }
-    if vocabulary is not None:
-        doc["vocabulary"] = list(vocabulary)
-    if idf is not None:
-        doc["idf"] = [float(v) for v in idf]
     # The file names the field ``lam`` "lambda", here and at the top level.
-    doc["config"] = {"lambda" if k == "lam" else k: v for k, v in asdict(cfg).items()}
-    if tfidf is not None:
-        doc["config"]["tfidf"] = dict(tfidf)
+    config = {"lambda" if k == "lam" else k: v for k, v in asdict(cfg).items()}
+    if vectorizer is not None:
+        terms, idf, tfidf = vectorizer
+        doc["vocabulary"] = list(terms)
+        doc["idf"] = [float(v) for v in idf]
+        config["tfidf"] = asdict(tfidf)
+    doc["config"] = config
     doc["objective_trace"] = [
         [int(i), float(f), float(nn), float(rr)] for i, f, nn, rr in report.objective_trace
     ]
@@ -504,7 +507,8 @@ def save_model(path, fac, cfg, report, vocabulary=None, idf=None, tfidf=None):
 def load_model(path):
     """Read a model JSON document back into a :class:`Model`; a missing,
     mistyped, non-finite or mis-sized field, or an idf below 1, raises
-    ``ValueError`` naming ``path`` and the field."""
+    ``ValueError`` naming ``path`` and the field.  A document with a
+    ``vocabulary`` or an ``idf`` must hold both and ``config.tfidf``."""
     doc = read_json(path, MODEL_VERSION)
     H = json_array(path, doc, "H", 2)
     if np.any(H < 0):
@@ -521,24 +525,16 @@ def load_model(path):
     if type(lam) not in (int, float) or not abs(lam) <= sys.float_info.max:
         raise ValueError(f"{path}: field 'lambda' must be a number, finite as a float, "
                          f"got {lam!r}")
-    vocabulary = None if doc.get("vocabulary") is None else json_terms(path, doc, "vocabulary")
-    idf = None if doc.get("idf") is None else _json_idf(path, doc)
-    for key, value in (("vocabulary", vocabulary), ("idf", idf)):
-        if value is not None and len(value) != H.shape[1]:
+    config = doc.get("config", {})
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: field 'config' must be an object")
+    if doc.get("vocabulary") is None and doc.get("idf") is None:
+        return Model(H, theta)
+    vectorizer = _vectorizer(path, doc, config.get("tfidf"), "config.tfidf")
+    for key, value in zip(("vocabulary", "idf"), vectorizer):
+        if len(value) != H.shape[1]:
             raise ValueError(
                 f"{path}: model document is inconsistent: {len(value)} {key} entries "
                 f"for {H.shape[1]} columns of H"
             )
-    config = doc.get("config", {})
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: field 'config' must be an object")
-    return Model(
-        r=H.shape[0],
-        lam=float(lam),
-        theta=theta,
-        H=H,
-        config=config,
-        objective_trace=doc.get("objective_trace", []),
-        vocabulary=vocabulary,
-        idf=idf,
-    )
+    return Model(H, theta, vectorizer)

@@ -11,7 +11,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .io import _integer, write_table
+from .io import _integer, _real, write_table
 from .model import FitConfig, NumericFailure, fit, predict_many
 from .synthetic import split_arrays
 
@@ -60,7 +60,8 @@ class SweepSpec:
         for name in ("split_seed", "fit_seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         r_values = tuple(sorted({_integer("r_values", r) for r in self.r_values}))
-        lambda_values = tuple(sorted(float(v) for v in self.lambda_values))
+        lambda_values = tuple(sorted(_real("lambda_values", v) for v in self.lambda_values))
+        object.__setattr__(self, "train_frac", _real("train_frac", self.train_frac))
         if not r_values or not lambda_values:
             raise ValueError("r_values and lambda_values must be non-empty")
         if not 0 < self.train_frac < 1:

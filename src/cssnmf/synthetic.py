@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .io import _integer, save_matrix_csv, save_vector_csv, write_json
+from .io import _integer, _real, save_matrix_csv, save_vector_csv, write_json
 
 __all__ = [
     "SyntheticConfig",
@@ -38,16 +38,17 @@ class SyntheticConfig:
     def __post_init__(self):
         for name in ("n", "m", "r_true", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("M", "eta_x", "eta_y"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if min(self.n, self.m, self.r_true) < 1:
             raise ValueError(
                 f"n, m, r_true must all be >= 1, got {self.n}, {self.m}, {self.r_true}"
             )
-        if not self.M > 0:
-            raise ValueError(f"M must be > 0, got {self.M}")
-        if self.eta_x < 0 or self.eta_y < 0:
-            raise ValueError(
-                f"noise scales must be >= 0, got eta_x={self.eta_x}, eta_y={self.eta_y}"
-            )
+        if not 0 < self.M < np.inf:
+            raise ValueError(f"M must be > 0 and finite, got {self.M}")
+        if not (0 <= self.eta_x < np.inf and 0 <= self.eta_y < np.inf):
+            raise ValueError(f"noise scales must be >= 0 and finite, got "
+                             f"eta_x={self.eta_x}, eta_y={self.eta_y}")
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(
                 f"noise_kind must be one of {NOISE_KINDS}, got {self.noise_kind!r}"
@@ -81,16 +82,23 @@ def generate(cfg):
     ``W_true`` (n x r) and ``H_true`` (r x m) are Unif([0, M)) elementwise,
     ``theta_true`` (r+1,) is Unif([-M/2, M/2)); then
     ``X = W H + noise_x`` (negatives truncated to 0) and
-    ``Y = theta[0] + W theta[1:] + noise_y``.
+    ``Y = theta[0] + W theta[1:] + noise_y``.  Scales near the float range
+    can overflow these sums; a dataset whose ``X`` or ``Y`` is then not
+    finite raises ``ValueError``.
     """
     rng = np.random.default_rng(cfg.seed)
     n, m, r = cfg.n, cfg.m, cfg.r_true
     W = rng.uniform(0.0, cfg.M, size=(n, r))
     H = rng.uniform(0.0, cfg.M, size=(r, m))
     theta = rng.uniform(-cfg.M / 2.0, cfg.M / 2.0, size=r + 1)
-    X = W @ H + _noise(rng, cfg.noise_kind, cfg.eta_x, (n, m))
-    np.maximum(X, 0.0, out=X)
-    Y = theta[0] + W @ theta[1:] + _noise(rng, cfg.noise_kind, cfg.eta_y, n)
+    # An overflow is refused below, by its result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = W @ H + _noise(rng, cfg.noise_kind, cfg.eta_x, (n, m))
+        np.maximum(X, 0.0, out=X)
+        Y = theta[0] + W @ theta[1:] + _noise(rng, cfg.noise_kind, cfg.eta_y, n)
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError(f"the dataset overflows: with M={cfg.M}, eta_x={cfg.eta_x} and "
+                         f"eta_y={cfg.eta_y}, X or Y is not finite")
     return SyntheticDataset(X=X, Y=Y, W_true=W, H_true=H, theta_true=theta, config=cfg)
 
 

@@ -6,7 +6,9 @@ splits on non-alphanumeric characters, drops single-character tokens and
 stopwords, filters terms by document frequency, applies smoothed idf
 weights to raw term counts, and l1-normalizes each document row.  The
 stopword list ships with the package as a versioned data file so results
-are reproducible across installations.
+are reproducible across installations.  A fitted vectorizer is one value,
+``(terms, idf, TfidfConfig)``, which :func:`_vectorizer` reads from
+``vectorizer.json`` and ``model.json`` alike.
 
 Text rows live as term counts.  Each document is lowercased and split on
 its own: a document that is ASCII after lowercasing through one byte table
@@ -37,8 +39,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .io import (_JSON_KINDS, SparseRows, _is_numeric_row, _json_idf, json_terms, read_json,
-                 write_json)
+from .io import (_JSON_KINDS, SparseRows, _is_numeric_row, _json_idf, _real, json_terms,
+                 read_json, write_json)
 
 __all__ = [
     "RatedDocument",
@@ -94,9 +96,7 @@ class TfidfConfig:
         # Settings also come from JSON, where true is no fraction and "no"
         # no boolean.
         for name in ("min_df", "max_df"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not isinstance(self.lowercase, bool):
             raise ValueError(f"lowercase must be a boolean, got {self.lowercase!r}")
         if not 0 <= self.min_df <= 1 or not 0 < self.max_df <= 1:
@@ -116,6 +116,8 @@ class TfidfConfig:
 def tfidf_config(settings, where):
     """Rebuild a :class:`TfidfConfig` from persisted keyword settings;
     raises ``ValueError`` prefixed with ``where`` if they are refused."""
+    if not isinstance(settings, dict):
+        raise ValueError(f"{where} must be an object of settings")
     try:
         return TfidfConfig(**settings)
     except (TypeError, ValueError) as err:
@@ -551,16 +553,23 @@ def save_vectorizer(path, dtm, cfg):
     write_json(path, doc)
 
 
+def _vectorizer(path, doc, settings, where):
+    """The ``(terms, idf, TfidfConfig)`` of a JSON document: its fields
+    ``vocabulary`` (the terms, as a tuple) and ``idf``, and ``settings``,
+    its field ``where``.  A bad field raises ``ValueError`` naming ``path``
+    and the field; the sizes are the caller's to check."""
+    return (tuple(json_terms(path, doc, "vocabulary")), _json_idf(path, doc),
+            tfidf_config(settings, f"{path}: field {where!r}"))
+
+
 def load_vectorizer(path):
-    """Read a vectorizer JSON back as ``(terms, idf, TfidfConfig)``, the terms
-    a tuple in column order; a missing, mistyped, non-finite or mis-sized
-    field, or an idf below 1, raises ``ValueError`` naming ``path`` and the
-    field."""
+    """Read a vectorizer JSON back as ``(terms, idf, TfidfConfig)``; a bad
+    field, or an idf of another size than the vocabulary, raises
+    ``ValueError`` naming ``path``."""
     doc = read_json(path, VECTORIZER_VERSION)
-    vocab = tuple(json_terms(path, doc, "vocabulary"))
-    idf = _json_idf(path, doc)
-    if idf.shape[0] != len(vocab):
+    terms, idf, _ = vectorizer = _vectorizer(path, doc, doc.get("config"), "config")
+    if len(idf) != len(terms):
         raise ValueError(
             f"{path}: vectorizer document is inconsistent: idf/vocabulary sizes disagree"
         )
-    return vocab, idf, tfidf_config(doc.get("config"), f"{path}: field 'config'")
+    return vectorizer

@@ -4,6 +4,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cssnmf.linalg import DUAL_TOL, ConvergenceError
 from cssnmf.model import (
@@ -16,6 +17,7 @@ from cssnmf.model import (
     update_theta,
     update_w,
 )
+from cssnmf.text import STOPWORD_LISTS, TfidfConfig
 
 
 @functools.cache
@@ -349,3 +351,25 @@ def row_from_counts_reference(counts, vocab, idf):
         x /= s
         return x, False
     return x, True
+
+
+@st.composite
+def vectorizers(draw, m):
+    """A vectorizer ``(terms, idf, TfidfConfig)`` of ``m`` terms: distinct
+    terms of any text, finite idf weights of at least 1, and any settings
+    :class:`~cssnmf.text.TfidfConfig` takes."""
+    terms = tuple(draw(st.lists(st.text(max_size=6), min_size=m, max_size=m, unique=True)))
+    idf = np.array(draw(st.lists(st.floats(1.0, allow_infinity=False), min_size=m,
+                                 max_size=m)), dtype=float)
+    max_df = draw(st.floats(0.0, 1.0, exclude_min=True))
+    tfidf = TfidfConfig(min_df=draw(st.floats(0.0, max_df)), max_df=max_df,
+                        stopwords=draw(st.sampled_from(STOPWORD_LISTS)),
+                        lowercase=draw(st.booleans()))
+    return terms, idf, tfidf
+
+
+def same_vectorizer(got, want):
+    """Whether two vectorizers hold the same terms, the same idf bits and the
+    same settings, each float as ``repr`` spells it."""
+    return (got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+            and repr(got[2]) == repr(want[2]))

@@ -92,6 +92,14 @@ def test_synth_noise_free_equals_factor_product(runner, tmp_path):
     assert np.array_equal(X, W @ H)
 
 
+def test_synth_refuses_a_dataset_that_overflows(runner, tmp_path):
+    # Once numpy's overflow warning, then an X.csv of inf cells that fit refuses.
+    res = runner.invoke(main, ["--out", str(tmp_path / "s"), "synth", "--scale", "1e200"])
+    assert_clean_exit(res, 3, "error: the dataset overflows: with M=1e+200, eta_x=4.0")
+    assert "Warning" not in res.output
+    assert not (tmp_path / "s").exists()
+
+
 def test_synth_artifacts_are_byte_identical(runner, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -110,8 +118,9 @@ def test_fit_writes_model_and_trace(runner, tmp_path):
                           ds_dir / "X.csv", ds_dir / "Y.csv",
                           "--r", 2, "--lam", 0.5, "--restarts", 2, "--max-iter", 20])
     assert res.exit_code == 0
-    model = load_model(tmp_path / "fit" / "model.json")
-    assert model.r == 2 and model.lam == 0.5
+    doc = json.loads((tmp_path / "fit" / "model.json").read_text())
+    assert doc["r"] == 2 and doc["lambda"] == 0.5
+    assert load_model(tmp_path / "fit" / "model.json").H.shape[0] == 2
     lines = (tmp_path / "fit" / "objective_trace.csv").read_text().splitlines()
     assert lines[0] == "iter,F,N,R"
     trace = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
@@ -253,6 +262,9 @@ def test_unknown_option_is_usage_error(runner):
     (["synth", "--scale", "0"], "M must be > 0"),
     # Read as a model, the file is malformed JSON.
     (["topics", "{f}", "--top-k", "0"], "0 is not in the range x>=1"),
+    # inf once exited 1 with a traceback, nan wrote an X.csv of nan.
+    (["synth", "--scale", "inf"], "M must be > 0 and finite"),
+    (["synth", "--eta-x", "nan"], "noise scales must be >= 0 and finite"),
 ])
 def test_out_of_range_options_are_usage_errors_before_any_file_is_read(runner, tmp_path,
                                                                        args, message):
@@ -409,8 +421,14 @@ def test_sweep_refuses_fractional_topic_counts(runner, tmp_path, r_list):
 
 # ------------------------------------------------------------------ predict
 
-def _planted_model(path, vocab=None, idf=None, tfidf=None):
-    # Orthogonal, l1-normalized topic rows with known regression weights.
+NO_STOP_TFIDF = {"min_df": 0.0, "max_df": 1.0, "stopwords": "none", "lowercase": True,
+                 "norm": "l1"}
+
+
+def _planted_model(path, vocab=None, idf=None, tfidf=NO_STOP_TFIDF):
+    """Orthogonal, l1-normalized topic rows with known regression weights;
+    with ``vocab``, a whole vectorizer: ``idf`` (all ones by default) and
+    the ``tfidf`` settings."""
     H = np.array([
         [0.7, 0.3, 0.0, 0.0],
         [0.0, 0.0, 0.4, 0.6],
@@ -420,7 +438,10 @@ def _planted_model(path, vocab=None, idf=None, tfidf=None):
     cfg = FitConfig(r=2, lam=0.0)
     report = FitReport(objective_trace=[(0, 1.0, 1.0, 0.0)], final_objective=1.0,
                        iterations_run=0, converged=True, restart_index=0)
-    save_model(path, fac, cfg, report, vocabulary=vocab, idf=idf, tfidf=tfidf)
+    vectorizer = None
+    if vocab is not None:
+        vectorizer = (vocab, [1.0] * len(vocab) if idf is None else idf, TfidfConfig(**tfidf))
+    save_model(path, fac, cfg, report, vectorizer)
     return H, theta
 
 
@@ -548,9 +569,7 @@ def test_predict_detects_matrix_with_id_and_text_terms_and_quoted_corpus(runner,
     # both in its header; its numeric records make it a matrix all the same.
     # A corpus whose header is quoted is still a corpus.
     model_path = tmp_path / "model.json"
-    _planted_model(model_path, vocab=["id", "text", "gamma", "delta"], idf=[1.0] * 4,
-                   tfidf={"min_df": 0.0, "max_df": 1.0, "stopwords": "none",
-                          "lowercase": True, "norm": "l1"})
+    _planted_model(model_path, vocab=["id", "text", "gamma", "delta"])
     X_path = tmp_path / "X.csv"
     save_matrix_csv(X_path, np.array([[0.7, 0.3, 0.0, 0.0], [0.0, 0.0, 0.4, 0.6]]),
                     header=["id", "text", "gamma", "delta"])
@@ -568,18 +587,13 @@ def test_predict_detects_matrix_with_id_and_text_terms_and_quoted_corpus(runner,
     assert auto == text and [r["id"] for r in auto] == ["a", "b"]
 
 
-NO_STOP_TFIDF = {"min_df": 0.0, "max_df": 1.0, "stopwords": "none", "lowercase": True,
-                 "norm": "l1"}
-
-
 @pytest.mark.parametrize("header, missing", [("ident,text,rating", "['id']"),
                                              ("id,body,rating", "['text']")])
 def test_predict_auto_names_the_column_a_corpus_misnames(runner, tmp_path, header, missing):
     # One of the two column names is enough to read the file as a corpus,
     # whose reader then names the other; it is not taken for a matrix.
     model_path = tmp_path / "model.json"
-    _planted_model(model_path, vocab=["alpha", "beta", "gamma", "delta"], idf=[1.0] * 4,
-                   tfidf=NO_STOP_TFIDF)
+    _planted_model(model_path, vocab=["alpha", "beta", "gamma", "delta"])
     corpus = tmp_path / "docs.csv"
     corpus.write_text(f"{header}\ndoc0,hello world,3\n")
     res, _ = _predict_rows(runner, tmp_path / "p", model_path, corpus)
@@ -595,8 +609,8 @@ def test_predict_maps_corpus_terms_in_the_model_files_order(runner, tmp_path):
     fac = Factorization(W=np.zeros((1, 2)), H=np.eye(2), theta=np.array([0.0, 5.0, 1.0]))
     report = FitReport(objective_trace=[(0, 0.0, 0.0, 0.0)], final_objective=0.0,
                        iterations_run=0, converged=True, restart_index=0)
-    save_model(model_path, fac, FitConfig(r=2), report, vocabulary=["zebra", "apple"],
-               idf=[1.0, 1.0], tfidf=NO_STOP_TFIDF)
+    save_model(model_path, fac, FitConfig(r=2), report,
+               (["zebra", "apple"], [1.0, 1.0], TfidfConfig(**NO_STOP_TFIDF)))
     corpus = tmp_path / "docs.csv"
     corpus.write_text("id,text\nz,zebra zebra\n")
     res = invoke(runner, ["--out", tmp_path / "p", "predict", model_path, corpus])
@@ -625,12 +639,15 @@ def test_text_workflow_ingest_fit_predict_topics(runner, tmp_path):
                           "--restarts", 2, "--max-iter", 40,
                           "--vectorizer", ing / "vectorizer.json"])
     assert res.exit_code == 0
-    model = load_model(fit_dir / "model.json")
-    assert model.vocabulary == header
-    assert model.idf is not None and model.config["tfidf"]["min_df"] == 0.05
+    terms, idf, tfidf = load_model(fit_dir / "model.json").vectorizer
+    ing_terms, ing_idf, ing_tfidf = load_vectorizer(ing / "vectorizer.json")
+    assert terms == ing_terms == tuple(header)
+    assert np.array_equal(idf, ing_idf)
+    assert tfidf == ing_tfidf and tfidf.min_df == 0.05
+    doc = json.loads((fit_dir / "model.json").read_text())
     tfidf_keys = ["min_df", "max_df", "stopwords", "lowercase", "norm"]
-    assert list(model.config) == ["r", "lambda", "tau", "max_iter", "seed", "restarts", "tfidf"]
-    assert list(model.config["tfidf"]) == tfidf_keys
+    assert list(doc["config"]) == ["r", "lambda", "tau", "max_iter", "seed", "restarts", "tfidf"]
+    assert list(doc["config"]["tfidf"]) == tfidf_keys
     assert list(json.loads((ing / "vectorizer.json").read_text())["config"]) == tfidf_keys
 
     # Text predictions equal matrix predictions on the training documents.
@@ -787,8 +804,7 @@ def test_ingest_and_predict_read_a_corpus_with_a_byte_order_mark(runner, tmp_pat
             (tmp_path / "ip" / artifact).read_bytes()
 
     model_path = tmp_path / "model.json"
-    _planted_model(model_path, vocab=["apple", "banana", "cherry", "delta"], idf=[1.0] * 4,
-                   tfidf=NO_STOP_TFIDF)
+    _planted_model(model_path, vocab=["apple", "banana", "cherry", "delta"])
     _, plain_rows = _predict_rows(runner, tmp_path / "pp", model_path, plain)
     res, marked_rows = _predict_rows(runner, tmp_path / "pm", model_path, marked)
     assert res.exit_code == 0, res.output
@@ -852,8 +868,7 @@ def test_a_corpus_field_the_csv_module_refuses_exits_3_naming_file_and_record(
     _long_review_corpus(corpus)
     monkeypatch.setattr(cssnmf.text, "CSV_FIELD_LIMIT", 100_000)
     model_path = tmp_path / "model.json"
-    _planted_model(model_path, vocab=["apple", "banana", "cherry", "delta"], idf=[1.0] * 4,
-                   tfidf=NO_STOP_TFIDF)
+    _planted_model(model_path, vocab=["apple", "banana", "cherry", "delta"])
     for args in (["ingest", corpus], ["predict", model_path, corpus]):
         res = runner.invoke(main, [str(a) for a in ["--out", tmp_path / "out", *args]])
         assert res.exit_code == 3, res.output
@@ -871,8 +886,7 @@ def test_a_corpus_record_with_the_wrong_field_count_exits_3_naming_file_and_reco
     corpus = tmp_path / "c.csv"
     corpus.write_text(body)
     model_path = tmp_path / "model.json"
-    _planted_model(model_path, vocab=["good", "words", "here", "delta"], idf=[1.0] * 4,
-                   tfidf=NO_STOP_TFIDF)
+    _planted_model(model_path, vocab=["good", "words", "here", "delta"])
     for args in (["ingest", corpus], ["predict", model_path, corpus, "--input-format", "text"]):
         res = runner.invoke(main, [str(a) for a in ["--out", tmp_path / "out", *args]])
         assert res.exit_code == 3, res.output
@@ -1103,7 +1117,7 @@ def _reads_back(out, command):
         assert json.loads((out / "topics.json").read_text())["topics"]
         assert (out / "topics.txt").read_text().startswith("intercept: ")
     elif command == "fit":
-        assert load_model(out / "model.json").r == 2
+        assert load_model(out / "model.json").H.shape[0] == 2
         assert len(csv_rows(out / "objective_trace.csv")) >= 1
     elif command == "ingest":
         X, header = load_matrix_csv(out / "X.csv")
@@ -1375,15 +1389,44 @@ def test_sweep_warns_of_a_failed_cell_and_writes_the_rest(runner, tmp_path, smal
     assert [row["status"] for row in rows] == ["ok", "failed: all restarts failed"]
 
 
-def test_predict_refuses_a_text_model_without_idf(runner, tmp_path):
-    model_path = tmp_path / "model.json"
-    _planted_model(model_path, vocab=["alpha", "beta", "gamma", "delta"])
+def _planted_model_without(path, drop):
+    """The planted text model with one vectorizer field dropped: ``idf``, or
+    ``tfidf``, the settings in ``config``."""
+    _planted_model(path, vocab=["alpha", "beta", "gamma", "delta"])
+    doc = json.loads(path.read_text())
+    parent = doc["config"] if drop == "tfidf" else doc
+    del parent[drop]
+    path.write_text(json.dumps(doc))
+
+
+def _assert_every_command_refuses(runner, tmp_path, model_path, message):
+    """``predict`` on a corpus and on a matrix, and ``topics``, exit 3 with
+    ``message`` and write nothing."""
     corpus = tmp_path / "docs.jsonl"
-    corpus.write_text('{"id": "a", "text": "alpha beta"}\n')
-    res = runner.invoke(main, ["--out", str(tmp_path / "p"), "predict", str(model_path),
-                               str(corpus)])
-    assert_clean_exit(res, 3, "model carries a vocabulary but no idf weights")
-    assert not (tmp_path / "p" / "predictions.csv").exists()
+    corpus.write_text('{"id": "a", "text": "the alpha beta"}\n')
+    save_matrix_csv(tmp_path / "docs.csv", np.ones((1, 4)))
+    for args in (["predict", model_path, corpus], ["predict", model_path, tmp_path / "docs.csv"],
+                 ["topics", model_path]):
+        res = runner.invoke(main, [str(a) for a in ["--out", tmp_path / "out", *args]])
+        assert_clean_exit(res, 3, f"{model_path}: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_predict_refuses_a_text_model_without_idf(runner, tmp_path):
+    # topics once read such a model, and text predict refused it only after
+    # loading it.
+    model_path = tmp_path / "model.json"
+    _planted_model_without(model_path, "idf")
+    _assert_every_command_refuses(runner, tmp_path, model_path, "field 'idf' is missing")
+
+
+def test_a_text_model_without_its_tfidf_settings_exits_3_for_every_command(runner, tmp_path):
+    # Text predict once scored with the default settings, whose stopwords
+    # drop "the".
+    model_path = tmp_path / "model.json"
+    _planted_model_without(model_path, "tfidf")
+    _assert_every_command_refuses(runner, tmp_path, model_path,
+                                  "field 'config.tfidf' must be an object of settings")
 
 
 def test_predict_refuses_ratings_beside_a_corpus(runner, tmp_path, fitted_text_model):
@@ -1490,9 +1533,7 @@ def test_fit_refuses_a_vectorizer_whose_idf_is_not_its_vocabulary_long(runner, t
 def test_topics_planted_support_and_tie_break(runner, tmp_path):
     vocab = ["alpha", "beta", "gamma", "delta"]
     model_path = tmp_path / "model.json"
-    _planted_model(model_path, vocab=vocab, idf=[1.0] * 4,
-                   tfidf={"min_df": 0.0, "max_df": 1.0, "stopwords": "none",
-                          "lowercase": True, "norm": "l1"})
+    _planted_model(model_path, vocab=vocab)
     res = invoke(runner, ["--out", tmp_path / "t", "topics", model_path, "--top-k", 1])
     assert res.exit_code == 0
     report = json.loads((tmp_path / "t" / "topics.json").read_text())
@@ -1510,7 +1551,7 @@ def test_topics_breaks_weight_ties_lexicographically(runner, tmp_path):
     report = FitReport(objective_trace=[(0, 0.0, 0.0, 0.0)], final_objective=0.0,
                        iterations_run=0, converged=True, restart_index=0)
     save_model(model_path, fac, FitConfig(r=1), report,
-               vocabulary=["delta", "alpha", "gamma", "beta"])
+               (["delta", "alpha", "gamma", "beta"], [1.0] * 4, TfidfConfig(**NO_STOP_TFIDF)))
     res = invoke(runner, ["--out", tmp_path / "t", "topics", model_path, "--top-k", 2])
     assert res.exit_code == 0
     doc = json.loads((tmp_path / "t" / "topics.json").read_text())

@@ -2,6 +2,8 @@
 values must equal the per-cell reference implementations in conftest; the
 table and JSON writers' bytes are pinned."""
 
+import csv
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -430,6 +432,35 @@ def test_write_table_bytes(tmp_path):
     assert path.read_bytes() == (
         b'a,b,c\n0.1,3,"x, ""y"""\n-0.0,7,plain\nnan,0,\n'
     )
+
+
+def test_write_table_quotes_a_lone_carriage_return(tmp_path):
+    # A lone "\r" was once written bare, and read back as a line break.
+    path = tmp_path / "t.csv"
+    write_table(path, ["id", "y"], [["a\rb", 1.5], ["c\nd", "e\r\nf"], ["g", 2.0]])
+    assert path.read_bytes() == b'id,y\n"a\rb",1.5\n"c\nd","e\r\nf"\ng,2.0\n'
+
+
+# Characters a table writer has to take care of: separators, quotes, both
+# line breaks, a tab and a byte-order mark, among any other character.
+# Python 3.10's csv reader refuses NUL ("line contains NUL"), so no cell
+# holds it.
+CELL_CHARS = (st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")
+              | st.sampled_from(list(',"\r\n\t\ufeff')))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(header=st.lists(st.text(CELL_CHARS, max_size=5), max_size=4),
+       rows=st.lists(st.lists(st.text(CELL_CHARS, max_size=5) | st.floats(), max_size=4),
+                     max_size=5))
+def test_a_written_table_reads_back_whole(tmp_path_factory, header, rows):
+    # Every cell comes back from csv.reader as written: a str as itself, a
+    # float as format_float spells it.
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    write_table(path, header, rows)
+    with open(path, encoding="utf-8", newline="") as fh:
+        got = list(csv.reader(fh))
+    assert got == [header] + [[c if isinstance(c, str) else repr(c) for c in row] for row in rows]
 
 
 def test_write_json_bytes_and_read_json(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import cssnmf.linalg
 import cssnmf.model
@@ -16,6 +17,7 @@ from cssnmf.model import (
     EPS_H,
     Factorization,
     FitConfig,
+    FitReport,
     NumericFailure,
     _recon_error,
     fit,
@@ -29,7 +31,9 @@ from cssnmf.model import (
     update_w,
 )
 from cssnmf.synthetic import SyntheticConfig, generate
-from conftest import brute_force_nnls, fit_once_reference, frob_sq, text_like_matrix
+from cssnmf.text import TfidfConfig
+from conftest import (brute_force_nnls, fit_once_reference, frob_sq, same_vectorizer,
+                      text_like_matrix, vectorizers)
 
 
 def random_factorization(rng, n, m, r):
@@ -419,6 +423,35 @@ def test_fit_config_refuses_counts_and_seeds_that_are_not_integers(name, value):
     assert type(getattr(FitConfig(**{"r": 2, name: np.int64(3)}), name)) is int
 
 
+@pytest.mark.parametrize("name, value", [("lam", True), ("lam", "1"), ("tau", True),
+                                         ("tau", "1e-4"), ("lam", None), ("lam", 10 ** 400)])
+def test_fit_config_refuses_settings_that_are_not_real_numbers(name, value):
+    # lam=True once wrote "lambda": true, which load_model refuses; "1"
+    # raised TypeError.
+    with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+        FitConfig(**{"r": 2, name: value})
+
+
+def test_fit_config_takes_a_numpy_or_integer_lam_as_a_float(tmp_path):
+    # A numpy float32 lam once fitted, then failed to save: float32 is not
+    # JSON serializable.
+    assert FitConfig(r=1, lam=1).lam == 1.0 and type(FitConfig(r=1, lam=1).lam) is float
+    cfg = FitConfig(r=1, lam=np.float32(0.5), tau=np.float64(1e-3), max_iter=2, restarts=1)
+    assert (type(cfg.lam), type(cfg.tau)) == (float, float)
+    fac, report = fit(np.ones((3, 2)), np.arange(3.0), cfg)
+    save_model(tmp_path / "model.json", fac, cfg, report)
+    assert json.loads((tmp_path / "model.json").read_text())["lambda"] == 0.5
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+def test_fit_refuses_an_x_without_rows_or_columns(shape):
+    # (3, 0) once raised an "internal invariant violation" past the restart
+    # handling; (0, 3) reported a numeric failure.
+    with pytest.raises(ValueError, match=rf"^X must be a matrix with a row and a column, "
+                                         rf"got shape \({shape[0]}, {shape[1]}\)$"):
+        fit(np.zeros(shape), np.ones(shape[0]), FitConfig(r=1, restarts=1))
+
+
 def test_fit_raises_numeric_failure_when_all_restarts_fail(monkeypatch):
     def explode(X, Y, H, theta, lam, W_old):
         raise ConvergenceError("no progress", best=None)
@@ -771,20 +804,19 @@ def test_model_round_trip(tmp_path):
     Y = rng.normal(size=6)
     _, report = fit(X, Y, cfg)
     path = tmp_path / "model.json"
-    vocab = ["alpha", "beta", "gamma", "delta"]
+    vocab = ("alpha", "beta", "gamma", "delta")
     idf = [1.0, 1.2, 1.5, 2.0]
-    save_model(path, fac, cfg, report, vocabulary=vocab, idf=idf,
-               tfidf={"min_df": 0.01, "max_df": 0.15, "stopwords": "english",
-                      "lowercase": True, "norm": "l1"})
+    save_model(path, fac, cfg, report, (vocab, idf, TfidfConfig()))
     model = load_model(path)
     assert np.array_equal(model.H, fac.H)
     assert np.array_equal(model.theta, fac.theta)
-    assert model.r == 2 and model.lam == 0.5
-    assert model.vocabulary == vocab
-    assert np.array_equal(model.idf, np.asarray(idf))
-    assert model.config["tfidf"]["min_df"] == 0.01
-    assert model.objective_trace[0][0] == 0
+    terms, idf_read, tfidf = model.vectorizer
+    assert terms == vocab
+    assert np.array_equal(idf_read, np.asarray(idf))
+    assert tfidf == TfidfConfig()
     doc = json.loads(path.read_text())
+    assert doc["r"] == 2 and doc["lambda"] == 0.5
+    assert doc["objective_trace"][0][0] == 0
     assert "W" not in doc
     assert set(doc) == {"version", "r", "lambda", "theta", "H",
                         "vocabulary", "idf", "config", "objective_trace"}
@@ -800,8 +832,33 @@ def test_model_round_trip_without_vocabulary(tmp_path):
     _, report = fit(X, np.zeros(4), FitConfig(r=2, lam=0.0, max_iter=3, restarts=1))
     path = tmp_path / "model.json"
     save_model(path, fac, cfg, report)
+    assert load_model(path).vectorizer is None
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_saved_model_loads_back_bit_for_bit(tmp_path_factory, data):
+    r, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    fac = Factorization(
+        W=np.zeros((1, r)),
+        H=data.draw(arrays(np.float64, (r, m), elements=st.floats(0.0, allow_infinity=False))),
+        theta=data.draw(arrays(np.float64, r + 1, elements=FINITE)),
+    )
+    cfg = FitConfig(r=r, lam=data.draw(st.floats(0.0, allow_infinity=False)))
+    F, N, R = (data.draw(FINITE) for _ in range(3))
+    report = FitReport(objective_trace=[(0, F, N, R)], final_objective=F, iterations_run=0,
+                       converged=True, restart_index=0)
+    vectorizer = data.draw(st.none() | vectorizers(m))
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(path, fac, cfg, report, vectorizer)
     model = load_model(path)
-    assert model.vocabulary is None and model.idf is None
+    assert model.H.tobytes() == fac.H.tobytes() and model.H.shape == (r, m)
+    assert model.theta.tobytes() == fac.theta.tobytes()
+    assert (model.vectorizer is None) if vectorizer is None else \
+        same_vectorizer(model.vectorizer, vectorizer)
 
 
 def test_load_model_rejects_unknown_version(tmp_path):
@@ -819,7 +876,9 @@ def _write_model_doc(path, **changes):
     """A valid one-topic model document with ``changes`` applied; a field
     set to ``DROP`` is left out."""
     doc = {"version": 1, "r": 1, "lambda": 0.0, "theta": [0.5, 1.0], "H": [[0.25, 0.75]],
-           "vocabulary": ["alpha", "beta"], "idf": [1.0, 2.0]}
+           "vocabulary": ["alpha", "beta"], "idf": [1.0, 2.0],
+           "config": {"tfidf": {"min_df": 0.0, "max_df": 1.0, "stopwords": "none",
+                                "lowercase": True, "norm": "l1"}}}
     doc.update(changes)
     path.write_text(json.dumps({k: v for k, v in doc.items() if v is not DROP}))
 
@@ -878,6 +937,7 @@ def test_load_model_rejects_a_document_that_is_not_an_object(tmp_path, text):
 def test_load_model_accepts_the_valid_document(tmp_path):
     path = tmp_path / "model.json"
     _write_model_doc(path)
-    model = load_model(path)
-    assert model.vocabulary == ["alpha", "beta"]
-    assert np.array_equal(model.idf, [1.0, 2.0])
+    terms, idf, tfidf = load_model(path).vectorizer
+    assert terms == ("alpha", "beta")
+    assert np.array_equal(idf, [1.0, 2.0])
+    assert tfidf == TfidfConfig(min_df=0.0, max_df=1.0, stopwords="none")

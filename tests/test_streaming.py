@@ -8,7 +8,6 @@ import csv
 import json
 import tracemalloc
 from collections import Counter
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from cssnmf.text import (
     TfidfConfig,
     build_tfidf,
     load_corpus,
+    load_vectorizer,
     tokenize,
     vectorize_many,
 )
@@ -71,16 +71,18 @@ def write_corpus_csv(path, texts):
         writer.writerows([f"d{i}", t, 1 + i % 5] for i, t in enumerate(texts))
 
 
-def text_model(path, vocab, idf, tfidf, r, seed):
-    """A model over ``vocab`` with random l1-normalized topic rows."""
+def text_model(path, vectorizer, r, seed):
+    """A model with ``vectorizer`` ``(terms, idf, TfidfConfig)`` and random
+    l1-normalized topic rows over its terms."""
     rng = np.random.default_rng(seed)
-    H = rng.random((r, len(vocab))) * (rng.random((r, len(vocab))) < 0.2)
+    m = len(vectorizer[0])
+    H = rng.random((r, m)) * (rng.random((r, m)) < 0.2)
     H /= H.sum(axis=1, keepdims=True)
     theta = rng.normal(size=r + 1)
     report = FitReport(objective_trace=[(0, 1.0, 1.0, 0.0)], final_objective=1.0,
                        iterations_run=0, converged=True, restart_index=0)
     save_model(path, Factorization(W=np.zeros((1, r)), H=H, theta=theta), FitConfig(r=r),
-               report, vocabulary=list(vocab), idf=idf, tfidf=tfidf)
+               report, vectorizer)
     return H, theta
 
 
@@ -120,7 +122,7 @@ def test_ingest_and_predict_across_block_boundaries(tmp_path):
     assert (tmp_path / "ing" / "X.csv").read_bytes() == (tmp_path / "X_ref.csv").read_bytes()
 
     model_path = tmp_path / "model.json"
-    H, theta = text_model(model_path, dtm.vocab, dtm.idf, asdict(CFG), r=3, seed=5)
+    H, theta = text_model(model_path, (dtm.vocab, dtm.idf, CFG), r=3, seed=5)
     res = runner.invoke(main, ["--out", str(tmp_path / "p"), "predict", str(model_path),
                                str(held_out)])
     assert res.exit_code == 0, res.output
@@ -172,7 +174,7 @@ def test_ingest_and_predict_peak_below_half_a_dense_matrix(tmp_path, guard_corpu
     assert ingest_peak < dense_bytes / 2, (ingest_peak, dense_bytes)
 
     model_path = tmp_path / "model.json"
-    text_model(model_path, doc["vocabulary"], doc["idf"], doc["config"], r=3, seed=2)
+    text_model(model_path, load_vectorizer(ing / "vectorizer.json"), r=3, seed=2)
     predict_peak = traced_peak(["--out", tmp_path / "p", "predict", model_path, guard_corpus])
     assert predict_peak < dense_bytes / 2, (predict_peak, dense_bytes)
 

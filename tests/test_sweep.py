@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,21 @@ def test_sweep_spec_refuses_counts_and_seeds_that_are_not_integers(name, value):
         SweepSpec(**{"r_values": (2,), "lambda_values": (0.0,), name: value})
     spec = SweepSpec(r_values=(np.int64(2),), lambda_values=(0.0,), split_seed=np.int64(1))
     assert [type(c.r) for c in spec.configs] == [int] and type(spec.split_seed) is int
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("lambda_values", ("1", True), "lambda_values must be a real number, got '1'"),
+    ("lambda_values", (0.0, True), "lambda_values must be a real number, got True"),
+    ("train_frac", "0.5", "train_frac must be a real number, got '0.5'"),
+    ("tau", True, "tau must be a real number, got True"),
+])
+def test_sweep_spec_refuses_settings_that_are_not_real_numbers(name, value, message):
+    # ("1", True) once read as 1.0 twice; "0.5" raised TypeError.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SweepSpec(**{"r_values": (2,), "lambda_values": (0.0,), name: value})
+    spec = SweepSpec(r_values=(2,), lambda_values=(np.float32(0.5), 1), train_frac=np.float64(0.5))
+    assert spec.lambda_values == (0.5, 1.0) and type(spec.train_frac) is float
+    assert [type(c.lam) for c in spec.configs] == [float, float]
 
 
 def test_single_cell_matches_direct_fit():

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +76,29 @@ def test_config_refuses_counts_and_seeds_that_are_not_integers(name, value):
         SyntheticConfig(**{name: value})
     # A numpy integer is taken, as an int that json can write.
     assert type(getattr(SyntheticConfig(**{name: np.int64(3)}), name)) is int
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("M", "2", "M must be a real number, got '2'"),
+    ("eta_x", True, "eta_x must be a real number, got True"),
+    ("M", float("inf"), "M must be > 0 and finite, got inf"),
+    ("M", float("nan"), "M must be > 0 and finite, got nan"),
+    ("eta_y", float("inf"), "noise scales must be >= 0 and finite, got eta_x=4.0, eta_y=inf"),
+    ("eta_x", float("nan"), "noise scales must be >= 0 and finite, got eta_x=nan, eta_y=4.0"),
+])
+def test_config_refuses_settings_that_are_not_finite_real_numbers(name, value, message):
+    # eta_x=True and eta_y=inf once built; M="2" raised TypeError.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SyntheticConfig(**{name: value})
+    assert type(getattr(SyntheticConfig(**{name: np.float32(2)}), name)) is float
+
+
+def test_generate_refuses_a_dataset_that_overflows():
+    # M=1e200 once wrote inf cells, after numpy's overflow warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the dataset overflows: with M=1e\+200, "):
+            generate(SyntheticConfig(n=3, m=2, r_true=1, M=1e200))
 
 
 @pytest.mark.parametrize("kwargs", [

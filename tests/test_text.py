@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import string
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import row_from_counts_reference
+from conftest import row_from_counts_reference, same_vectorizer, vectorizers
 from cssnmf.text import (
+    DocumentTermMatrix,
     RatedDocument,
     TfidfConfig,
     balance,
@@ -518,7 +520,64 @@ def test_load_corpus_errors(tmp_path):
         load_corpus(empty)
 
 
+# Characters a corpus file has to take care of: separators, quotes, both
+# line breaks, a tab, NUL, a byte-order mark and a Unicode line separator,
+# among any other character.
+AWKWARD = st.sampled_from(list(',"\r\n\t\x00\ufeff\u2028'))
+
+
+def corpora(chars):
+    """Lists of documents whose ids and texts are any text over ``chars``,
+    with an optional finite rating."""
+    text = st.text(chars, max_size=8)
+    rating = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+    return st.lists(st.builds(RatedDocument, id=text, text=text, rating=rating),
+                    min_size=1, max_size=5)
+
+
+def as_read(docs):
+    """The documents with each rating spelled as ``repr``, so -0.0 is not 0.0."""
+    return [(d.id, d.text, repr(d.rating)) for d in docs]
+
+
+# Python 3.10's csv reader refuses NUL ("line contains NUL"), so the CSV
+# corpora leave it out; the JSON-lines corpora keep it.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(docs=corpora(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")
+                    | AWKWARD.filter(lambda c: c != "\x00")))
+def test_a_corpus_written_as_csv_reads_back_whole(tmp_path_factory, docs):
+    # csv.writer's default dialect ends lines with "\r\n", so it quotes a
+    # cell holding "\r" or "\n".
+    path = tmp_path_factory.mktemp("corpus") / "corpus.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "text", "rating"])
+        writer.writerows([d.id, d.text, "" if d.rating is None else repr(d.rating)]
+                         for d in docs)
+    assert as_read(load_corpus(path, require_rating=False)) == as_read(docs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(docs=corpora(st.characters(blacklist_categories=("Cs",)) | AWKWARD))
+def test_a_corpus_written_as_json_lines_reads_back_whole(tmp_path_factory, docs):
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    path.write_text("".join(json.dumps({"id": d.id, "text": d.text, "rating": d.rating}) + "\n"
+                            for d in docs), encoding="utf-8")
+    assert as_read(load_corpus(path, require_rating=False)) == as_read(docs)
+
+
 # --------------------------------------------------------------- vectorizer
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_saved_vectorizer_loads_back_bit_for_bit(tmp_path_factory, data):
+    terms, idf, tfidf = vectorizer = data.draw(vectorizers(data.draw(st.integers(0, 6))))
+    dtm = DocumentTermMatrix(vocab=terms, doc_ids=[], idf=idf, indptr=np.zeros(1, dtype=int),
+                             cols=np.zeros(0, dtype=int), tfs=np.zeros(0, dtype=int))
+    path = tmp_path_factory.mktemp("vec") / "vectorizer.json"
+    save_vectorizer(path, dtm, tfidf)
+    assert same_vectorizer(load_vectorizer(path), vectorizer)
+
 
 def test_vectorizer_round_trip(tmp_path):
     texts = ["apple banana", "banana cherry", "apple cherry date"]
