@@ -18,7 +18,8 @@ import numpy as np
 from .io import (format_float, load_matrix_csv, load_vector_csv, save_matrix_csv, save_vector_csv,
                  write_json, write_table)
 from .linalg import ConvergenceError
-from .model import FitConfig, NumericFailure, fit as fit_model, load_model, predict_many, save_model
+from .model import (FitConfig, NumericFailure, _check_data, fit as fit_model, load_model,
+                    predict_many, save_model)
 from .sweep import (LAMBDA_GRIDS, SweepSpec, figure_filter as apply_figure_filter, lambda_grid,
                     run_sweep, write_sweep_csv)
 from .synthetic import NOISE_KINDS, SyntheticConfig, generate, save_dataset
@@ -76,21 +77,16 @@ def _config(make, **options):
         raise click.UsageError(str(err)) from None
 
 
-def _check_xy(x_path, X, y_path=None, Y=None):
-    """Refuse what a fit or a scoring cannot take, naming the file: ``Y``
-    of another length than ``X``, and the first entry of ``X`` that is not
-    finite and nonnegative, or of ``Y`` that is not finite, by its 1-based
-    data row (the header not counted)."""
-    if Y is not None and len(Y) != len(X):
-        raise ValueError(f"{y_path} has {len(Y)} values for the {len(X)} data rows of {x_path}")
-    # min and max carry a NaN through, so only a bad X pays for the scan.
-    if not (X.min() >= 0 and X.max() < np.inf):
-        i, j = np.argwhere(~((X >= 0) & (X < np.inf)))[0]
-        raise ValueError(f"{x_path}: data row {i + 1}, column {j + 1} is {float(X[i, j])}; "
-                         "X must be finite and nonnegative")
-    if Y is not None and not np.isfinite(Y).all():
-        k = np.flatnonzero(~np.isfinite(Y))[0]
-        raise ValueError(f"{y_path}: data row {k + 1} is {float(Y[k])}; Y must be finite")
+def _check_columns(x_path, X, header, source_path, terms, width, labels=None):
+    """Refuse an ``X`` whose columns are not the ``width`` columns of the
+    vectorizer or model at ``source_path``: another count, or, when both
+    are known, a header that is not ``terms`` in order.  The count's
+    message names the two sides by ``labels``, by default their paths."""
+    x_label, source_label = labels or (x_path, source_path)
+    if X.shape[1] != width:
+        raise ValueError(f"{source_label} has {width} terms but {x_label} has {X.shape[1]} columns")
+    if terms is not None and header is not None and tuple(header) != terms:
+        raise ValueError(f"{x_path}: header is not the vocabulary of {source_path}, in order")
 
 
 def _parse_float_list(text, what):
@@ -222,18 +218,13 @@ def fit_cmd(obj, x_path, y_path, r, lam, tau, max_iter, restarts, vectorizer_pat
                   seed=obj["seed"], restarts=restarts)
     X, header = load_matrix_csv(x_path)
     Y = load_vector_csv(y_path)
-    _check_xy(x_path, X, y_path, Y)
+    _check_data(X, Y, (x_path, y_path))
     vectorizer = None
     if vectorizer_path is not None:
         vectorizer = load_vectorizer(vectorizer_path)
         vocab = vectorizer[0]
-        if len(vocab) != X.shape[1]:
-            raise ValueError(
-                f"vectorizer has {len(vocab)} terms but X has {X.shape[1]} columns"
-            )
-        if header is not None and tuple(header) != vocab:
-            raise ValueError(f"{x_path}: header is not the vocabulary of {vectorizer_path}, "
-                             "in order")
+        _check_columns(x_path, X, header, vectorizer_path, vocab, len(vocab),
+                       ("X", "vectorizer"))
     fac, report = fit_model(X, Y, cfg)
     out = _outdir(obj)
     save_model(out / "model.json", fac, cfg, report, vectorizer)
@@ -280,7 +271,7 @@ def sweep(obj, x_path, y_path, r_list, lambdas, restarts, train_frac,
                    fit_seed=obj["seed"] if fit_seed is None else fit_seed)
     X, _ = load_matrix_csv(x_path)
     Y = load_vector_csv(y_path)
-    _check_xy(x_path, X, y_path, Y)
+    _check_data(X, Y, (x_path, y_path))
     cells = run_sweep(X, Y, spec)
     out = _outdir(obj)
     write_sweep_csv(out / "sweep.csv", cells)
@@ -338,8 +329,10 @@ def predict_cmd(obj, model_path, docs_path, fmt, ratings_path, edges):
             W.append(w)
         y_hats, W = np.concatenate(y_hats), np.concatenate(W)
     else:
-        X, _ = load_matrix_csv(docs_path)
-        _check_xy(docs_path, X)
+        X, header = load_matrix_csv(docs_path)
+        _check_data(X, names=(docs_path, None))
+        terms = model.vectorizer[0] if model.vectorizer else None
+        _check_columns(docs_path, X, header, model_path, terms, model.H.shape[1])
         ids = [str(i) for i in range(X.shape[0])]
         y_true = [None] * X.shape[0]
         if ratings_path is not None:

@@ -55,22 +55,25 @@ class ConvergenceError(RuntimeError):
         self.column = column
 
 
-def _as_matrix(a, name):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return np.ascontiguousarray(a)
-
-
-def _as_vector(b, name):
+def _system(A, b):
+    """``A`` and ``b`` of the system ``A x = b`` as C-ordered float arrays;
+    raises ``ValueError`` unless ``A`` is a finite matrix with a row and a
+    column and ``b`` a finite vector of one entry per row of ``A``."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
+        raise ValueError(f"A must be a 2-d matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("A contains non-finite entries")
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.shape[0] < 1:
-        raise ValueError(f"{name} must be a 1-d vector, got shape {b.shape}")
+        raise ValueError(f"b must be a 1-d vector, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return np.ascontiguousarray(b)
+        raise ValueError("b contains non-finite entries")
+    if A.shape[0] != b.shape[0]:
+        raise ValueError(
+            f"incompatible shapes: A is {A.shape[0]}x{A.shape[1]}, b has length {b.shape[0]}"
+        )
+    return np.ascontiguousarray(A), np.ascontiguousarray(b)
 
 
 def _raise_singular(err, flag):
@@ -117,12 +120,7 @@ def lstsq(A, b):
     -------
     x : (q,) ndarray
     """
-    A = _as_matrix(A, "A")
-    b = _as_vector(b, "b")
-    if A.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"incompatible shapes: A is {A.shape[0]}x{A.shape[1]}, b has length {b.shape[0]}"
-        )
+    A, b = _system(A, b)
     return _gelsd(A, b, SVD_CUTOFF)
 
 
@@ -363,10 +361,5 @@ def nnls(A, b, max_iter=None):
     ConvergenceError
         If the iteration cap is exceeded; the best iterate is attached.
     """
-    A = _as_matrix(A, "A")
-    b = _as_vector(b, "b")
-    if A.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"incompatible shapes: A is {A.shape[0]}x{A.shape[1]}, b has length {b.shape[0]}"
-        )
+    A, b = _system(A, b)
     return nnls_multi(A.T @ A, (A.T @ b)[:, None], max_iter)[:, 0]

@@ -139,6 +139,24 @@ def _check_shapes(X, Y, W, H, theta):
         raise ValueError(f"Y has length {Y.shape[0]}, X has {n} rows")
 
 
+def _check_data(X, Y=None, names=("X", "Y")):
+    """Refuse data the method cannot take, naming it by ``names``: ``Y`` of
+    another length than ``X``, and the first entry of ``X`` that is not
+    finite and nonnegative, or of ``Y`` that is not finite, by its 1-based
+    data row.  An ``X`` without rows passes."""
+    x_name, y_name = names
+    if Y is not None and len(Y) != len(X):
+        raise ValueError(f"{y_name} has {len(Y)} values for the {len(X)} data rows of {x_name}")
+    # min and max carry a NaN through, so only a bad X pays for the scan.
+    if not (X.min(initial=0.0) >= 0 and X.max(initial=0.0) < np.inf):
+        i, j = np.argwhere(~((X >= 0) & (X < np.inf)))[0]
+        raise ValueError(f"{x_name}: data row {i + 1}, column {j + 1} is {float(X[i, j])}; "
+                         "X must be finite and nonnegative")
+    if Y is not None and not np.isfinite(Y).all():
+        k = np.flatnonzero(~np.isfinite(Y))[0]
+        raise ValueError(f"{y_name}: data row {k + 1} is {float(Y[k])}; Y must be finite")
+
+
 def _recon_error(X, W, H):
     """``||X - W H||_F^2``, formed in the one n x m buffer of ``W @ H``.
 
@@ -383,8 +401,8 @@ def fit(X, Y, cfg):
     Raises
     ------
     ValueError
-        On negative/non-finite data, an ``X`` without rows or columns, or
-        shape disagreement.
+        On negative/non-finite data, named by its data row, an ``X``
+        without rows or columns, or shape disagreement.
     NumericFailure
         If every restart fails or ends with a non-finite objective.
     """
@@ -392,14 +410,11 @@ def fit(X, Y, cfg):
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or 0 in X.shape:
         raise ValueError(f"X must be a matrix with a row and a column, got shape {X.shape}")
-    if Y.ndim != 1 or Y.shape[0] != X.shape[0]:
+    if Y.ndim != 1:
         raise ValueError(
             f"Y must be a vector of length {X.shape[0]}, got shape {Y.shape}"
         )
-    if not np.all(np.isfinite(X)) or not np.all(np.isfinite(Y)):
-        raise ValueError("X and Y must be finite")
-    if np.any(X < 0):
-        raise ValueError("X must be elementwise nonnegative")
+    _check_data(X, Y)
 
     best = None
     failures = []
@@ -450,10 +465,7 @@ def predict_many(H, theta, X):
     # both checks name the model as the bad input.
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(theta))):
         raise ValueError("model H/theta contain non-finite entries")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("documents contain non-finite entries")
-    if np.any(X < 0):
-        raise ValueError("documents must be nonnegative")
+    _check_data(X, names=("documents", None))
     # Per-document products (H x, w . theta), so a document's prediction
     # does not depend on the other documents in the call.
     HX = np.matmul(H, X[:, :, None])[:, :, 0]
@@ -482,6 +494,8 @@ def save_model(path, fac, cfg, report, vectorizer=None):
     Persists ``H``, ``theta``, hyperparameters, and the objective trace; a
     model fitted on text passes its ``vectorizer`` ``(terms, idf,
     TfidfConfig)`` along, so new documents can be vectorized for prediction.
+    A model that :func:`load_model` would refuse raises ``ValueError``, with
+    its message, before the file is opened.
     """
     doc = {
         "version": MODEL_VERSION,
@@ -501,6 +515,7 @@ def save_model(path, fac, cfg, report, vectorizer=None):
     doc["objective_trace"] = [
         [int(i), float(f), float(nn), float(rr)] for i, f, nn, rr in report.objective_trace
     ]
+    _read_model(path, doc)
     write_json(path, doc)
 
 
@@ -509,7 +524,12 @@ def load_model(path):
     mistyped, non-finite or mis-sized field, or an idf below 1, raises
     ``ValueError`` naming ``path`` and the field.  A document with a
     ``vocabulary`` or an ``idf`` must hold both and ``config.tfidf``."""
-    doc = read_json(path, MODEL_VERSION)
+    return _read_model(path, read_json(path, MODEL_VERSION))
+
+
+def _read_model(path, doc):
+    """The :class:`Model` of the document ``doc`` read from or bound for
+    ``path``; :func:`load_model` says what it refuses."""
     H = json_array(path, doc, "H", 2)
     if np.any(H < 0):
         raise ValueError(f"{path}: field 'H' has negative entries")

@@ -12,7 +12,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .io import _integer, _real, write_table
-from .model import FitConfig, NumericFailure, fit, predict_many
+from .model import FitConfig, NumericFailure, _check_data, fit, predict_many
 from .synthetic import split_arrays
 
 __all__ = [
@@ -129,8 +129,11 @@ def run_sweep(X, Y, spec):
     """Fit every (r, lambda) cell; returns cells sorted by (r, lambda).
 
     A cell whose restarts all fail is reported with NaN metrics and a
-    failure note instead of aborting the sweep.
+    failure note instead of aborting the sweep.  Bad data raises
+    ``ValueError`` naming its row in ``X`` or ``Y``, not in a split.
     """
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    _check_data(X, Y)
     (X_tr, Y_tr), (X_te, Y_te), _ = split_arrays(X, Y, spec.train_frac, spec.split_seed)
     return [_run_cell(X_tr, Y_tr, X_te, Y_te, cfg) for cfg in spec.configs]
 

@@ -541,7 +541,9 @@ VECTORIZER_VERSION = 1
 
 
 def save_vectorizer(path, dtm, cfg):
-    """Persist vocabulary, idf, and the vectorizer settings as JSON."""
+    """Persist vocabulary, idf, and the vectorizer settings as JSON; one
+    that :func:`load_vectorizer` would refuse raises ``ValueError``, with
+    its message, before the file is opened."""
     doc = {
         "version": VECTORIZER_VERSION,
         "config": asdict(cfg),
@@ -550,6 +552,7 @@ def save_vectorizer(path, dtm, cfg):
         "doc_ids": list(dtm.doc_ids),
         "zero_rows": list(dtm.zero_rows),
     }
+    _read_vectorizer(path, doc)
     write_json(path, doc)
 
 
@@ -566,7 +569,13 @@ def load_vectorizer(path):
     """Read a vectorizer JSON back as ``(terms, idf, TfidfConfig)``; a bad
     field, or an idf of another size than the vocabulary, raises
     ``ValueError`` naming ``path``."""
-    doc = read_json(path, VECTORIZER_VERSION)
+    return _read_vectorizer(path, read_json(path, VECTORIZER_VERSION))
+
+
+def _read_vectorizer(path, doc):
+    """The ``(terms, idf, TfidfConfig)`` of the vectorizer document ``doc``
+    read from or bound for ``path``, refused as :func:`load_vectorizer`
+    says."""
     terms, idf, _ = vectorizer = _vectorizer(path, doc, doc.get("config"), "config")
     if len(idf) != len(terms):
         raise ValueError(

@@ -1285,6 +1285,45 @@ def test_bad_x_or_y_values_exit_3_naming_the_file_and_row(
     assert not (tmp_path / "out").exists()
 
 
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_entry_point_names_the_bad_data_entry(runner, tmp_path, data):
+    # One rule checks the data of fit, sweep, predict and the CLI, so each
+    # names the one planted bad value, or a Y one value too long, alike.
+    n, m = data.draw(st.integers(1, 8), label="n"), data.draw(st.integers(1, 8), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    X, Y = rng.uniform(size=(n, m)), rng.normal(size=n)
+    where = data.draw(st.sampled_from(["X", "Y", "Y long"]), label="where")
+    i, j = data.draw(st.integers(0, n - 1), label="i"), data.draw(st.integers(0, m - 1), label="j")
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf] + [-1.0] * (where == "X")),
+                    label="bad")
+    if where == "X":
+        X[i, j] = bad
+        message = "{X}: data row %d, column %d is %r" % (i + 1, j + 1, bad)
+    elif where == "Y":
+        Y[i] = bad
+        message = "{Y}: data row %d is %r" % (i + 1, bad)
+    else:
+        Y = np.append(Y, 0.0)
+        message = "{Y} has %d values for the %d data rows of {X}" % (n + 1, n)
+    names = {"X": "X", "Y": "Y"}
+    with pytest.raises(ValueError, match=re.escape(message.format(**names))):
+        fit(X, Y, FitConfig(r=1, max_iter=1, restarts=1))
+    with pytest.raises(ValueError, match=re.escape(message.format(**names))):
+        cssnmf.sweep.run_sweep(X, Y, cssnmf.sweep.SweepSpec(r_values=[1], lambda_values=[0.0],
+                                                            restarts=1, max_iter=1))
+    if where == "X":
+        with pytest.raises(ValueError, match=re.escape(message.format(X="documents"))):
+            predict_many(np.ones((1, m)), np.zeros(2), X)
+    paths = {"X": tmp_path / "X.csv", "Y": tmp_path / "Y.csv"}
+    save_matrix_csv(paths["X"], X)
+    save_vector_csv(paths["Y"], Y)
+    res = runner.invoke(main, [str(a) for a in ["--out", tmp_path / "out", "fit", paths["X"],
+                                                paths["Y"], "--r", 1, "--restarts", 1]])
+    assert_clean_exit(res, 3, message.format(**paths))
+
+
 def test_deeply_nested_json_exits_3_naming_the_file(runner, tmp_path, fitted_text_model):
     d = fitted_text_model
     deep = tmp_path / "deep.json"
@@ -1312,6 +1351,35 @@ def test_fit_refuses_an_x_header_that_is_not_the_vectorizer_vocabulary(
     assert res.exit_code == 3, res.output
     assert str(swapped) in res.stderr and str(d / "vectorizer.json") in res.stderr
     assert not (tmp_path / "out" / "model.json").exists()
+
+
+def test_matrix_predict_refuses_an_x_header_that_is_not_the_model_vocabulary(
+        runner, tmp_path, fitted_text_model):
+    d = fitted_text_model
+    header, body = (d / "X.csv").read_text().split("\n", 1)
+    terms = header.split(",")
+    terms[0], terms[1] = terms[1], terms[0]
+    swapped = tmp_path / "X.csv"
+    swapped.write_text(",".join(terms) + "\n" + body)
+    res = runner.invoke(main, [str(a) for a in [
+        "--out", tmp_path / "out", "predict", d / "model.json", swapped]])
+    assert_clean_exit(res, 3, f"{swapped}: header is not the vocabulary of {d / 'model.json'}, "
+                              "in order")
+    assert not (tmp_path / "out" / "predictions.csv").exists()
+    # Without a header the file's columns are taken to be the model's.
+    swapped.write_text(body)
+    res = invoke(runner, ["--out", tmp_path / "out", "predict", d / "model.json", swapped])
+    assert res.exit_code == 0, res.output
+
+
+def test_matrix_predict_names_both_files_for_another_width(runner, tmp_path, small_inputs):
+    texts, synth_model, _ = small_inputs
+    narrow = tmp_path / "X.csv"
+    save_matrix_csv(narrow, np.ones((12, 4)))
+    res = runner.invoke(main, [str(a) for a in [
+        "--out", tmp_path / "out", "predict", synth_model, narrow]])
+    assert_clean_exit(res, 3, f"{synth_model} has 5 terms but {narrow} has 4 columns")
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_embeds_the_vectorizer_vocabulary_in_its_order(runner, tmp_path):
@@ -1575,9 +1643,19 @@ def test_topics_requires_vocabulary(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def _planted_model_with_vocabulary(path, vocab):
+    """The planted text model with its ``vocabulary`` field replaced by
+    ``vocab`` in the file, since ``save_model`` refuses a vocabulary that
+    ``load_model`` would refuse."""
+    _planted_model(path, vocab=["alpha", "beta", "gamma", "delta"])
+    doc = json.loads(path.read_text())
+    doc["vocabulary"] = vocab
+    path.write_text(json.dumps(doc))
+
+
 def test_topics_rejects_vocabulary_of_wrong_length(runner, tmp_path):
     model_path = tmp_path / "model.json"
-    _planted_model(model_path, vocab=["alpha", "beta", "gamma"])
+    _planted_model_with_vocabulary(model_path, ["alpha", "beta", "gamma"])
     res = runner.invoke(main, ["--out", str(tmp_path / "t"), "topics", str(model_path)])
     assert res.exit_code == 3
     assert ("model document is inconsistent: 3 vocabulary entries for 4 columns of H"
@@ -1587,7 +1665,7 @@ def test_topics_rejects_vocabulary_of_wrong_length(runner, tmp_path):
 
 def test_topics_refuses_a_repeated_vocabulary_term(runner, tmp_path):
     model_path = tmp_path / "model.json"
-    _planted_model(model_path, vocab=["alpha", "beta", "alpha", "delta"])
+    _planted_model_with_vocabulary(model_path, ["alpha", "beta", "alpha", "delta"])
     res = runner.invoke(main, ["--out", str(tmp_path / "t"), "topics", str(model_path)])
     assert res.exit_code == 3
     assert f"{model_path}: field 'vocabulary' repeats the term 'alpha'" in res.stderr

@@ -941,3 +941,36 @@ def test_load_model_accepts_the_valid_document(tmp_path):
     assert terms == ("alpha", "beta")
     assert np.array_equal(idf, [1.0, 2.0])
     assert tfidf == TfidfConfig(min_df=0.0, max_df=1.0, stopwords="none")
+
+
+def _one_row_report(first_row=(0, 1.0, 1.0, 0.0)):
+    return FitReport(objective_trace=[first_row], final_objective=first_row[1],
+                     iterations_run=0, converged=True, restart_index=0)
+
+
+TWO_TOPICS = Factorization(W=np.ones((1, 2)), H=np.full((2, 3), 0.5), theta=np.zeros(3))
+
+
+@pytest.mark.parametrize("fac, cfg, vectorizer, message", [
+    (TWO_TOPICS, FitConfig(r=3), None, "field 'r' must equal H's 2 rows, got 3"),
+    (Factorization(TWO_TOPICS.W, TWO_TOPICS.H, np.array([0.0, np.nan, 1.0])), FitConfig(r=2),
+     None, "field 'theta' has non-finite entries"),
+    (Factorization(TWO_TOPICS.W, -TWO_TOPICS.H, TWO_TOPICS.theta), FitConfig(r=2), None,
+     "field 'H' has negative entries"),
+    (TWO_TOPICS, FitConfig(r=2), (("a",), [1.0], TfidfConfig()),
+     "model document is inconsistent: 1 vocabulary entries for 3 columns of H"),
+    (TWO_TOPICS, FitConfig(r=2), (("a", "b", "c"), [1.0, 0.5, 1.0], TfidfConfig()),
+     "field 'idf' has an entry below 1"),
+])
+def test_save_model_refuses_what_load_model_refuses(tmp_path, fac, cfg, vectorizer, message):
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match=f"model.json: {message}"):
+        save_model(path, fac, cfg, _one_row_report(), vectorizer)
+    assert not path.exists()
+
+
+def test_save_model_writes_a_trace_that_starts_at_inf(tmp_path):
+    # load_model does not read the trace, so its rule does not refuse it.
+    path = tmp_path / "model.json"
+    save_model(path, TWO_TOPICS, FitConfig(r=2), _one_row_report((0, np.inf, np.inf, 0.0)))
+    assert np.array_equal(load_model(path).H, TWO_TOPICS.H)

@@ -593,6 +593,21 @@ def test_vectorizer_round_trip(tmp_path):
     assert cfg2 == cfg
 
 
+@pytest.mark.parametrize("vocab, idf, message", [
+    (("alpha", "beta"), [1.0, 0.5], "field 'idf' has an entry below 1"),
+    (("alpha", "alpha"), [1.0, 2.0], "field 'vocabulary' repeats the term 'alpha'"),
+    (("alpha", "beta"), [1.0, np.nan], "field 'idf' has non-finite entries"),
+    (("alpha", "beta"), [1.0], "vectorizer document is inconsistent: idf/vocabulary sizes disagree"),
+])
+def test_save_vectorizer_refuses_what_load_vectorizer_refuses(tmp_path, vocab, idf, message):
+    dtm = DocumentTermMatrix(vocab=vocab, doc_ids=["d0"], idf=np.array(idf),
+                             indptr=np.array([0, 1]), cols=np.array([0]), tfs=np.array([1]))
+    path = tmp_path / "vec.json"
+    with pytest.raises(ValueError, match=f"vec.json: {message}"):
+        save_vectorizer(path, dtm, NO_STOP)
+    assert not path.exists()
+
+
 def _write_vectorizer_doc(path, **changes):
     """A valid two-term vectorizer document with ``changes`` applied; a
     field set to None is left out."""
