@@ -1,25 +1,30 @@
-"""File syntax of every artifact: matrix CSVs, CSV tables and JSON documents.
+"""File syntax of every artifact: matrix CSVs, CSV tables and JSON documents,
+and the rule of every setting.
 
 Other modules build rows and dicts; only this one spells them on disk.
 Floats are written with ``repr``, which round-trips exactly, so equal
 values give byte-identical files.  Line endings are always ``"\\n"``.
 
-Text matrices are mostly zeros, so the matrix writer takes each block of
-rows as its entries in row-major order (:class:`SparseRows`) and formats
-only those; every other cell is the literal ``0.0`` (which is
-``repr(0.0)``), cut with its separators from one all-zero line.  numpy
-works out which slice of that line comes before each entry, and a table
-keeps each slice by its bounds, so no Python loop runs per entry.  A dense
-block's entries are those whose bit pattern is not ``+0.0``;
-``cssnmf ingest`` hands over the entries of its term counts, so nothing
-scans for them.  Either way the bytes are the same as formatting every
-cell.  The reader hands the body to numpy's C parser instead of calling
-``float()`` per cell; the values are the same.  The writer takes a matrix
-as an iterator of row blocks, which ``cssnmf ingest`` uses to write a
-text matrix that never exists whole; every block goes through the same
-formatter, so the bytes do not depend on the blocks.  A header whose every
-name reads as a number is refused, since the reader would take it for a
-data row.
+The matrix writer takes one of two inputs: a dense matrix, or an iterator
+of row blocks given by their entries in row-major order
+(:class:`SparseRows`) with a header, which ``cssnmf ingest`` uses to write
+a text matrix that never exists whole.  Text matrices are mostly zeros, so
+the writer formats only the entries; every other cell is the literal
+``0.0`` (which is ``repr(0.0)``), cut with its separators from one
+all-zero line.  numpy works out which slice of that line comes before each
+entry, and a table keeps each slice by its bounds, so no Python loop runs
+per entry.  A dense matrix's entries are those whose bit pattern is not
+``+0.0``; ``cssnmf ingest`` hands over the entries of its term counts, so
+nothing scans for them.  Either way, and whatever the blocks, the bytes are
+the same as formatting every cell.  A header whose every name reads as a
+number is refused, since the reader would take it for a data row.  The
+reader hands the body to numpy's C parser instead of calling ``float()``
+per cell; the values are the same.  Text is read as UTF-8; a file that is
+not names its path and the line of the first bad byte.
+
+Every setting has one of two rules, each written once here: a count or a
+seed is an integer at or above its floor (:func:`_integer`), and a
+real-valued setting is a finite real number (:func:`_real`).
 """
 
 import csv
@@ -28,6 +33,7 @@ import json
 import re
 from collections import Counter
 from collections.abc import Iterator
+from contextlib import contextmanager
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -62,22 +68,6 @@ class SparseRows(NamedTuple):
     indptr: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-
-
-def _next_block(blocks):
-    """The next row block as ``(SparseRows, width)``: a dense block's width,
-    or None for a :class:`SparseRows` block; ``(None, None)`` when there is
-    none.  A dense block lists the entries whose bit pattern is not
-    ``+0.0``, so -0.0 and NaN go through ``repr`` like any other nonzero."""
-    X = next(blocks, None)
-    if X is None or isinstance(X, SparseRows):
-        return X, None
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {X.shape}")
-    rows, cols = np.nonzero(np.ascontiguousarray(X).view(np.int64))
-    indptr = np.searchsorted(rows, np.arange(X.shape[0] + 1))
-    return SparseRows(indptr, cols, X[rows, cols]), X.shape[1]
 
 
 class _ZeroRuns(dict):
@@ -129,19 +119,39 @@ def _write_rows(fh, block, runs):
     fh.write("".join(lines))
 
 
-def _write_matrix(path, blocks, header):
-    """Write ``header`` and the rows of an iterator of row blocks; the
-    header is checked against the first block before the file is opened."""
-    block, m = _next_block(blocks)
-    if m is None:
+def save_matrix_csv(path, X, header=None):
+    """Write a matrix, one CSV row per matrix row.
+
+    ``X`` is a dense matrix, or an iterator over its row blocks in order as
+    :class:`SparseRows`, with ``header``, so a caller can write a matrix
+    that never exists whole; the bytes are the same either way.  A block
+    with an entry past the header's columns raises after the rows before
+    it were written.
+
+    ``header`` is a list of column names (for a dense matrix, it defaults
+    to ``x0..x{m-1}``).  A header that :func:`load_matrix_csv` would not
+    read back as written is refused: one whose every name reads as a
+    number (it would be a data row), a name holding a comma or a line
+    break, and a header line that is blank or starts with a byte-order
+    mark.
+    """
+    if not isinstance(X, Iterator):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"expected a matrix, got shape {X.shape}")
         if header is None:
-            raise ValueError("no row blocks to write and no header" if block is None
-                             else "row blocks given by their entries need a header")
-        m = len(header)
+            header = [f"x{j}" for j in range(X.shape[1])]
+        if len(header) != X.shape[1]:
+            raise ValueError(f"header has {len(header)} names for {X.shape[1]} columns")
+        # Its entries are those whose bit pattern is not +0.0, so -0.0 and
+        # NaN go through repr like any other nonzero.
+        rows, cols = np.nonzero(np.ascontiguousarray(X).view(np.int64))
+        X = iter([SparseRows(np.searchsorted(rows, np.arange(X.shape[0] + 1)), cols,
+                             X[rows, cols])])
+    block = next(X, None)
     if header is None:
-        header = [f"x{j}" for j in range(m)]
-    if len(header) != m:
-        raise ValueError(f"header has {len(header)} names for {m} columns")
+        raise ValueError("no row blocks to write and no header" if block is None
+                         else "row blocks given by their entries need a header")
     if header and _is_numeric_row(header):
         raise ValueError(f"{path}: every column name reads as a number, so the header "
                          "would be read back as a data row")
@@ -152,6 +162,7 @@ def _write_matrix(path, blocks, header):
     if header and (not line.strip() or line.startswith("\ufeff")):
         raise ValueError(f"{path}: the header line would be blank or start with a byte-order "
                          "mark, which the reader skips")
+    m = len(header)
     runs = _ZeroRuns(m)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(line + "\n")
@@ -162,27 +173,7 @@ def _write_matrix(path, blocks, header):
             _write_rows(fh, block, runs)
             # Let go of this block before the next one is built.
             block = None
-            block, width = _next_block(blocks)
-            if width not in (None, m):
-                raise ValueError(f"row block has {width} columns, expected {m}")
-
-
-def save_matrix_csv(path, X, header=None):
-    """Write a dense matrix, one CSV row per matrix row.
-
-    ``X`` is a matrix, or an iterator over its row blocks in order, so a
-    caller can write a matrix that never exists whole; the bytes are the
-    same either way.  A block is a 2-D array or, when ``header`` is given,
-    :class:`SparseRows`.  A block of the wrong width raises after the rows
-    before it were written.
-
-    ``header`` is a list of column names (defaults to ``x0..x{m-1}``).  A
-    header that :func:`load_matrix_csv` would not read back as written is
-    refused: one whose every name reads as a number (it would be a data
-    row), a name holding a comma or a line break, and a header line that is
-    blank or starts with a byte-order mark.
-    """
-    _write_matrix(path, X if isinstance(X, Iterator) else iter([X]), header)
+            block = next(X, None)
 
 
 def _is_numeric_row(cells):
@@ -198,6 +189,29 @@ def _parse(lines):
     # comments=None: by default loadtxt drops everything after a '#', so
     # "1.0,2.0#x" would silently read as [1.0, 2.0].
     return np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2, comments=None)
+
+
+@contextmanager
+def _read_text(path, newline=None):
+    """``path`` open for reading as UTF-8, with or without a byte-order
+    mark.  A byte that is not UTF-8 raises ``ValueError`` naming ``path``
+    and the 1-based line the byte is on, which only then is looked for in
+    the file's bytes."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            # Lines end as the text reader ends them: at "\n", "\r\n" or "\r".
+            k = err.start
+            line = data.count(b"\n", 0, k) + data.count(b"\r", 0, k) - data.count(b"\r\n", 0, k)
+            raise ValueError(f"{path}: line {line + 1} is not UTF-8 "
+                             f"(0x{data[k]:02x}: {err.reason})") from None
+        raise
 
 
 def load_matrix_csv(path):
@@ -217,9 +231,9 @@ def load_matrix_csv(path):
     ``float()`` would take: digit-group underscores (``1_0``) and
     non-ASCII digits.
     """
-    # utf-8-sig: a byte-order mark would make the first cell non-numeric,
-    # and the first data row would be taken for a header.
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    # The reader drops a byte-order mark, which would make the first cell
+    # non-numeric, and the first data row would be taken for a header.
+    with _read_text(path) as fh:
         numbered = [(k, ln.rstrip("\n").rstrip("\r")) for k, ln in enumerate(fh, start=1)
                     if ln.strip()]
     if not numbered:
@@ -262,7 +276,7 @@ def save_vector_csv(path, y, name="y"):
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"expected a vector, got shape {y.shape}")
-    _write_matrix(path, iter([y[:, None]]), [name])
+    save_matrix_csv(path, y[:, None], [name])
 
 
 def load_vector_csv(path):
@@ -346,30 +360,37 @@ def json_array(path, doc, name, ndim):
     return a
 
 
-def _integer(name, value):
+def _integer(name, value, least):
     """``value`` of the count or seed ``name`` as an ``int``; raises
-    ``ValueError`` unless it is an integer, Python's or numpy's.  A bool,
-    which Python takes for an int, is none; ``int()`` alone would truncate
-    2.5 to a count of 2, and numpy refuses a float seed only when it draws.
-    A numpy integer becomes an ``int``, which ``json`` can write."""
+    ``ValueError`` unless it is an integer, Python's or numpy's, of at
+    least ``least``.  A bool, which Python takes for an int, is none;
+    ``int()`` alone would truncate 2.5 to a count of 2, and numpy refuses a
+    float seed only when it draws.  A numpy integer becomes an ``int``,
+    which ``json`` can write."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
 
 
 def _real(name, value):
-    """``value`` of the setting ``name`` as a ``float``; raises
+    """``value`` of the setting ``name`` as a finite ``float``; raises
     ``ValueError`` unless it is a real number, Python's or numpy's, that a
-    float can hold.  A bool, which Python takes for an int, is none, nor is
-    a string that ``float()`` would read.  A numpy float becomes a
-    ``float``, which ``json`` can write."""
+    float can hold, and neither infinite nor NaN, which no setting takes.
+    A bool, which Python takes for an int, is none, nor is a string that
+    ``float()`` would read.  A numpy float becomes a ``float``, which
+    ``json`` can write."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise ValueError(f"{name} must be a real number a float can hold, got {value!r}") \
             from None
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _json_idf(path, doc):

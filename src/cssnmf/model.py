@@ -96,22 +96,15 @@ class FitConfig:
     restarts: int = 10
 
     def __post_init__(self):
-        for name in ("r", "max_iter", "seed", "restarts"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name, least in (("r", 1), ("max_iter", 1), ("seed", 0), ("restarts", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         for name in ("lam", "tau"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
-        if not np.isfinite(self.lam) or self.lam < 0:
+        if self.lam < 0:
+            # Worded as update_w words it: the two state one rule for lam.
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if not np.isfinite(self.tau) or self.tau <= 0:
+        if self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
 
 @dataclass

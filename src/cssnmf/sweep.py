@@ -44,7 +44,7 @@ def lambda_grid(name):
 class SweepSpec:
     """An (r, lambda) grid on one train/test split.  It builds the
     :class:`~cssnmf.model.FitConfig` of every cell, in (r, lambda) order, as
-    ``configs``; it checks only its own lists and ``train_frac``."""
+    ``configs``; it checks only its own lists, seeds and ``train_frac``."""
 
     r_values: tuple
     lambda_values: tuple
@@ -58,16 +58,14 @@ class SweepSpec:
 
     def __post_init__(self):
         for name in ("split_seed", "fit_seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        r_values = tuple(sorted({_integer("r_values", r) for r in self.r_values}))
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 0))
+        r_values = tuple(sorted({_integer("r_values", r, 1) for r in self.r_values}))
         lambda_values = tuple(sorted(_real("lambda_values", v) for v in self.lambda_values))
         object.__setattr__(self, "train_frac", _real("train_frac", self.train_frac))
         if not r_values or not lambda_values:
             raise ValueError("r_values and lambda_values must be non-empty")
         if not 0 < self.train_frac < 1:
             raise ValueError(f"train_frac must lie in (0, 1), got {self.train_frac}")
-        if self.split_seed < 0:
-            raise ValueError(f"split_seed must be >= 0, got {self.split_seed}")
         configs = tuple(
             FitConfig(r=r, lam=lam, tau=self.tau, max_iter=self.max_iter,
                       seed=self.fit_seed, restarts=self.restarts)

@@ -36,25 +36,19 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "m", "r_true", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name, least in (("n", 1), ("m", 1), ("r_true", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         for name in ("M", "eta_x", "eta_y"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if min(self.n, self.m, self.r_true) < 1:
-            raise ValueError(
-                f"n, m, r_true must all be >= 1, got {self.n}, {self.m}, {self.r_true}"
-            )
-        if not 0 < self.M < np.inf:
-            raise ValueError(f"M must be > 0 and finite, got {self.M}")
-        if not (0 <= self.eta_x < np.inf and 0 <= self.eta_y < np.inf):
-            raise ValueError(f"noise scales must be >= 0 and finite, got "
+        if self.M <= 0:
+            raise ValueError(f"M must be > 0, got {self.M}")
+        if min(self.eta_x, self.eta_y) < 0:
+            raise ValueError(f"noise scales must be >= 0, got "
                              f"eta_x={self.eta_x}, eta_y={self.eta_y}")
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(
                 f"noise_kind must be one of {NOISE_KINDS}, got {self.noise_kind!r}"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -39,8 +39,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .io import (_JSON_KINDS, SparseRows, _is_numeric_row, _json_idf, _real, json_terms,
-                 read_json, write_json)
+from .io import (_JSON_KINDS, SparseRows, _is_numeric_row, _json_idf, _read_text, _real,
+                 json_terms, read_json, write_json)
 
 __all__ = [
     "RatedDocument",
@@ -378,7 +378,11 @@ def balance(corpus, edges, seed):
     for i, e in enumerate(corpus):
         if e.rating is None:
             raise ValueError(f"document {e.id!r} has no rating; cannot balance")
-        buckets[interval_index(e.rating, edges)].append(i)
+        try:
+            buckets[interval_index(e.rating, edges)].append(i)
+        except ValueError:
+            raise ValueError(f"document {e.id!r} has rating {e.rating!r} outside the edges "
+                             f"{edges}; cannot balance") from None
     for k, b in enumerate(buckets):
         if not b:
             lo, hi = edges[k], edges[k + 1]
@@ -423,7 +427,7 @@ def load_corpus(path, rating_range=None, require_rating=True):
     path = str(path)
     entries = []
     if path.endswith(JSONL_SUFFIXES):
-        with open(path, "r", encoding="utf-8-sig") as fh:
+        with _read_text(path) as fh:
             for k, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -442,7 +446,7 @@ def load_corpus(path, rating_range=None, require_rating=True):
                 _check_json_fields(obj, where)
                 entries.append(_entry_from_record(obj, where, require_rating))
     else:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh, _long_csv_fields():
+        with _read_text(path, newline="") as fh, _long_csv_fields():
             reader = csv.DictReader(fh)
             try:
                 if reader.fieldnames is None:
@@ -485,7 +489,7 @@ def is_corpus_file(path):
     """
     if str(path).endswith(JSONL_SUFFIXES):
         return True
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh, _long_csv_fields():
+    with _read_text(path, newline="") as fh, _long_csv_fields():
         reader = csv.reader(fh)
         header = None
         try:

@@ -239,7 +239,7 @@ def test_unknown_option_is_usage_error(runner):
     (["fit", "{f}", "{f}", "--r", "0"], "r must be >= 1"),
     (["fit", "{f}", "{f}", "--r", "2", "--restarts", "0"], "restarts must be >= 1"),
     (["fit", "{f}", "{f}", "--r", "2", "--tau", "0"], "tau must be > 0"),
-    (["sweep", "{f}", "{f}", "--r", "0", "--lambdas", "0"], "r must be >= 1"),
+    (["sweep", "{f}", "{f}", "--r", "0", "--lambdas", "0"], "r_values must be >= 1, got 0"),
     (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "-1"], "lam must be finite and >= 0"),
     (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "0", "--train-frac", "1.5"],
      "train_frac must lie in (0, 1)"),
@@ -247,7 +247,8 @@ def test_unknown_option_is_usage_error(runner):
     (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "0", "--restarts", "0"],
      "restarts must be >= 1"),
     (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "0", "--tau", "0"], "tau must be > 0"),
-    (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "0", "--tau", "nan"], "tau must be > 0"),
+    (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "0", "--tau", "nan"],
+     "tau must be finite, got nan"),
     (["sweep", "{f}", "{f}", "--r", "2", "--lambdas", "0", "--max-iter", "0"],
      "max_iter must be >= 1"),
     (["--seed", "-1", "fit", "{f}", "{f}", "--r", "2"], "-1 is not in the range x>=0"),
@@ -258,13 +259,13 @@ def test_unknown_option_is_usage_error(runner):
     (["--seed", "-1", "ingest", "{f}", "--balance-edges", "1,2,3,4,5"],
      "-1 is not in the range x>=0"),
     # synth reads no file; it must still refuse before writing.
-    (["synth", "--n", "0"], "n, m, r_true must all be >= 1"),
+    (["synth", "--n", "0"], "n must be >= 1, got 0"),
     (["synth", "--scale", "0"], "M must be > 0"),
     # Read as a model, the file is malformed JSON.
     (["topics", "{f}", "--top-k", "0"], "0 is not in the range x>=1"),
     # inf once exited 1 with a traceback, nan wrote an X.csv of nan.
-    (["synth", "--scale", "inf"], "M must be > 0 and finite"),
-    (["synth", "--eta-x", "nan"], "noise scales must be >= 0 and finite"),
+    (["synth", "--scale", "inf"], "M must be finite, got inf"),
+    (["synth", "--eta-x", "nan"], "eta_x must be finite, got nan"),
 ])
 def test_out_of_range_options_are_usage_errors_before_any_file_is_read(runner, tmp_path,
                                                                        args, message):
@@ -399,7 +400,7 @@ def test_sweep_bad_lambda_list_is_usage_error(runner, tmp_path):
     ds_dir = tmp_path / "ds"
     invoke(runner, ["--seed", 9, "--out", ds_dir, "synth", "--n", 10, "--m", 5])
     for lambdas, message in [("banana", "unknown lambda grid 'banana'; choices: ['synth', 'text']"),
-                             ("nan", "lam must be finite and >= 0")]:
+                             ("nan", "lambda_values must be finite, got nan")]:
         res = runner.invoke(main, ["--out", str(tmp_path), "sweep",
                                    str(ds_dir / "X.csv"), str(ds_dir / "Y.csv"),
                                    "--r", "2", "--lambdas", lambdas])
@@ -812,6 +813,41 @@ def test_ingest_and_predict_read_a_corpus_with_a_byte_order_mark(runner, tmp_pat
     assert (tmp_path / "pm" / "groups.csv").exists()  # read as a corpus, ratings inline
 
 
+# Each input file as its command reads it, before a byte that is not
+# UTF-8 is put at the start of its third line.
+_UTF8_INPUTS = {
+    "X.csv": "apple,banana,cherry,delta\n1.0,0.0,0.0,0.0\n0.0,1.0,0.0,0.0\n",
+    "Y.csv": "y\n1.0\n2.0\n",
+    "c.csv": "id,text,rating\na,apple banana,2\nb,banana cherry,4\n",
+    "c.jsonl": '{"id": "a", "text": "apple", "rating": 2}\n'
+               '{"id": "b", "text": "cherry", "rating": 4}\n'
+               '{"id": "c", "text": "delta", "rating": 3}\n',
+}
+
+
+@pytest.mark.parametrize("args, bad", [
+    (["fit", "X.csv", "Y.csv", "--r", "1"], "X.csv"),
+    (["fit", "X.csv", "Y.csv", "--r", "1"], "Y.csv"),
+    (["sweep", "X.csv", "Y.csv", "--r", "1", "--lambdas", "0"], "X.csv"),
+    (["predict", "model.json", "X.csv", "--input-format", "matrix"], "X.csv"),
+    (["ingest", "c.csv"], "c.csv"),
+    (["ingest", "c.jsonl"], "c.jsonl"),
+    (["predict", "model.json", "c.csv", "--input-format", "text"], "c.csv"),
+    (["predict", "model.json", "c.csv"], "c.csv"),  # read by the format sniff
+])
+def test_an_input_that_is_not_utf8_exits_3_naming_the_file_and_line(runner, tmp_path, args, bad):
+    for name, body in _UTF8_INPUTS.items():
+        lines = body.encode().splitlines(keepends=True)
+        if name == bad:
+            lines[2] = b"\xff" + lines[2]
+        (tmp_path / name).write_bytes(b"".join(lines))
+    _planted_model(tmp_path / "model.json", vocab=["apple", "banana", "cherry", "delta"])
+    res = runner.invoke(main, ["--out", str(tmp_path / "o")]
+                        + [str(tmp_path / a) if (tmp_path / a).exists() else a for a in args])
+    assert res.exit_code == 3, res.output
+    assert res.stderr == f"error: {tmp_path / bad}: line 3 is not UTF-8 (0xff: invalid start byte)\n"
+
+
 def _long_review_corpus(path):
     """Three documents, the first a 200,000-character ASCII review: longer
     than the csv module's default field limit of 131,072 characters."""
@@ -901,6 +937,16 @@ def test_ingest_refuses_balance_edges_that_are_not_ascending(runner, tmp_path):
                                "--balance-edges", "5,1"])
     assert res.exit_code == 2
     assert "--balance-edges needs at least two strictly ascending edges" in res.stderr
+
+
+def test_ingest_balance_names_a_document_rated_outside_the_edges(runner, tmp_path):
+    corpus_path = tmp_path / "c.csv"
+    corpus_path.write_text("id,text,rating\na,apple banana,2\nb,banana cherry,5\n")
+    res = runner.invoke(main, ["--out", str(tmp_path / "i"), "ingest", str(corpus_path),
+                               "--rating-range", "0,10", "--balance-edges", "1,2,3"])
+    assert res.exit_code == 3
+    assert res.stderr == ("error: document 'b' has rating 5.0 outside the edges "
+                          "[1.0, 2.0, 3.0]; cannot balance\n")
 
 
 def test_ingest_rejects_out_of_range_rating(runner, tmp_path):

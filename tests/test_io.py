@@ -12,6 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from cssnmf.cli import main
+from cssnmf.model import FitConfig
+from cssnmf.sweep import SweepSpec
+from cssnmf.synthetic import SyntheticConfig
+from cssnmf.text import TfidfConfig
 from cssnmf.io import (
     SparseRows,
     json_array,
@@ -123,23 +127,6 @@ def test_writer_validation(tmp_path):
         save_vector_csv(tmp_path / "a.csv", np.zeros((2, 2)))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(
-    n=st.integers(0, 9),
-    m=st.integers(1, 6),
-    seed=st.integers(0, 2**32 - 1),
-    cuts=st.lists(st.integers(0, 9), max_size=5),
-)
-def test_writer_bytes_do_not_depend_on_row_blocks(tmp_path_factory, n, m, seed, cuts):
-    # Cuts may repeat or sit at either end, which makes empty blocks.
-    tmp_path = tmp_path_factory.mktemp("w")
-    X = random_bit_matrix(n, m, seed, zero_frac=0.5)
-    bounds = [0] + sorted(min(c, n) for c in cuts) + [n]
-    blocks = (X[a:b] for a, b in zip(bounds, bounds[1:]))
-    assert written(tmp_path, save_matrix_csv, blocks, name="blocks.csv") == \
-        written(tmp_path, save_matrix_csv, X, name="whole.csv")
-
-
 def sparse_rows(X):
     """``X`` as SparseRows listing every entry whose bit pattern is not +0.0."""
     rows, cols = np.nonzero(X.view(np.int64))
@@ -169,17 +156,10 @@ def test_writer_block_validation(tmp_path):
     assert written(tmp_path, save_matrix_csv, iter([]), header=["a", "b"]) == b"a,b\n"
     with pytest.raises(ValueError, match="no row blocks to write and no header"):
         save_matrix_csv(tmp_path / "a.csv", iter([]))
-    with pytest.raises(ValueError, match="row block has 3 columns, expected 2"):
-        save_matrix_csv(tmp_path / "a.csv", iter([np.ones((1, 2)), np.ones((1, 3))]))
-    with pytest.raises(ValueError, match="expected a matrix"):
-        save_matrix_csv(tmp_path / "a.csv", iter([np.ones((1, 2)), np.ones(2)]))
     with pytest.raises(ValueError, match="given by their entries need a header"):
         save_matrix_csv(tmp_path / "a.csv", iter([sparse_rows(np.ones((1, 2)))]))
     with pytest.raises(ValueError, match="an entry in column 2, expected 2 columns"):
         save_matrix_csv(tmp_path / "a.csv", iter([sparse_rows(np.ones((1, 3)))]),
-                        header=["a", "b"])
-    with pytest.raises(ValueError, match="row block has 3 columns, expected 2"):
-        save_matrix_csv(tmp_path / "a.csv", iter([sparse_rows(np.ones((1, 2))), np.ones((1, 3))]),
                         header=["a", "b"])
 
 
@@ -520,3 +500,39 @@ def test_json_terms_names_the_field(doc, message):
     with pytest.raises(ValueError, match=f"^doc.json: {message}"):
         json_terms("doc.json", doc, "a")
     assert json_terms("doc.json", {"a": ["y", "x"]}, "a") == ["y", "x"]
+
+
+# ---------------------------------------------------------------- settings
+
+# Each class's required arguments, and the floor of each of its counts and
+# seeds (None for a real setting).
+SETTINGS = {
+    FitConfig: ({"r": 2}, {"r": 1, "max_iter": 1, "seed": 0, "restarts": 1,
+                           "lam": None, "tau": None}),
+    SweepSpec: ({"r_values": (2,), "lambda_values": (0.0,)},
+                {"r_values": 1, "restarts": 1, "split_seed": 0, "fit_seed": 0, "max_iter": 1,
+                 "lambda_values": None, "train_frac": None, "tau": None}),
+    SyntheticConfig: ({}, {"n": 1, "m": 1, "r_true": 1, "seed": 0,
+                           "M": None, "eta_x": None, "eta_y": None}),
+    TfidfConfig: ({}, {"min_df": None, "max_df": None}),
+}
+NOT_FINITE = [np.inf, -np.inf, np.nan, np.float32(np.inf), np.float64(-np.nan)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_setting_outside_its_rule_is_refused_by_its_name(data):
+    # Every count and seed has a floor, and every real setting is finite.
+    cls = data.draw(st.sampled_from(list(SETTINGS)))
+    required, floors = SETTINGS[cls]
+    name = data.draw(st.sampled_from(sorted(floors)))
+    least = floors[name]
+    if least is None:
+        value = data.draw(st.sampled_from(NOT_FINITE))
+    else:
+        value = data.draw(st.one_of(st.integers(max_value=least - 1),
+                                    st.integers(-2**63, least - 1).map(np.int64)))
+    if isinstance(required.get(name), tuple):  # a list: the bad value beside a good one
+        value = (*required[name], value)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        cls(**{**required, name: value})

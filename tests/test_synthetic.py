@@ -81,10 +81,10 @@ def test_config_refuses_counts_and_seeds_that_are_not_integers(name, value):
 @pytest.mark.parametrize("name, value, message", [
     ("M", "2", "M must be a real number, got '2'"),
     ("eta_x", True, "eta_x must be a real number, got True"),
-    ("M", float("inf"), "M must be > 0 and finite, got inf"),
-    ("M", float("nan"), "M must be > 0 and finite, got nan"),
-    ("eta_y", float("inf"), "noise scales must be >= 0 and finite, got eta_x=4.0, eta_y=inf"),
-    ("eta_x", float("nan"), "noise scales must be >= 0 and finite, got eta_x=nan, eta_y=4.0"),
+    ("M", float("inf"), "M must be finite, got inf"),
+    ("M", float("nan"), "M must be finite, got nan"),
+    ("eta_y", float("inf"), "eta_y must be finite, got inf"),
+    ("eta_x", float("nan"), "eta_x must be finite, got nan"),
 ])
 def test_config_refuses_settings_that_are_not_finite_real_numbers(name, value, message):
     # eta_x=True and eta_y=inf once built; M="2" raised TypeError.
